@@ -1,7 +1,9 @@
 #include "serve/scenario.h"
 
 #include <algorithm>
-#include <sstream>
+#include <initializer_list>
+#include <iterator>
+#include <map>
 #include <utility>
 
 #include "core/rfedavg.h"
@@ -52,9 +54,12 @@ std::unique_ptr<FederatedAlgorithm> Build(
 }
 
 constexpr const char* kScenarioUsage =
-    R"(Scenario (identical vocabulary and defaults to experiment_cli; every
-process of a deployment must pass the same values — the HELLO handshake
-verifies a fingerprint over them):
+    R"(Scenario flags (defaults in parentheses). experiment_cli, rfed_server and
+rfed_worker read the same flags; the processes of one deployment must
+agree on every flag not marked [exempt] (the HELLO handshake compares a
+fingerprint over their values).
+
+Experiment:
   --dataset mnist|cifar|femnist|sent140 (mnist)
   --method FedAvg|FedProx|Scaffold|q-FedAvg|FedNova|rFedAvg|rFedAvg+ (rFedAvg+)
   --clients N (10)          --similarity 0..1 (0)     --rounds C (15)
@@ -65,63 +70,101 @@ verifies a fingerprint over them):
   --model cnn|mlp (cnn, image datasets only)
   --train_examples (1500)   --test_examples (400)     --seed (1)
   --eval_every (1)
+
+Fault channel (per-attempt probabilities):
   --drop/--corrupt/--duplicate/--delay 0..1 (0)
   --mean_delay_ms (50)      --timeout_ms (250, 0=off) --retries (0)
+
+Sim runtime:
   --sim_mode sync|deadline|async (sync)
   --compute_model constant|lognormal|drift (constant)
-  --compute_ms (0)          --compute_sigma (1.0)
+  --compute_ms per-step virtual ms (0 = free)         --compute_sigma (1.0)
   --compute_drift (0.05)    --compute_spread (0)
-  --down_bw/--up_bw (0)     --base_latency_ms (0)
-  --deadline_ms (0)         --async_buffer (2)
+  --down_bw/--up_bw bytes per virtual ms (0 = infinite)
+  --base_latency_ms (0)     --deadline_ms (deadline mode, required > 0)
+  --async_buffer K arrivals per server update (2)
+
+Adversarial clients (seeded, deterministic; docs/ARCHITECTURE.md):
   --adversary none|nan|sign_flip|scale|noise|label_flip (none)
-  --adversary_frac (0.2)    --adversary_scale (100)   --adversary_sigma (1)
+  --adversary_frac fraction of clients compromised (0.2)
+  --adversary_scale delta blow-up of the scale attack (100)
+  --adversary_sigma stddev of the noise attack (1)
+
+Robust aggregation (server side):
   --aggregator mean|trimmed_mean|median|norm_clip (mean)
-  --trim_fraction (0.2)     --clip_multiplier (3)     --validate (true)
-  --checkpoint_every (0)    --checkpoint_path PATH    --resume_from PATH
-  --num_threads (1)         --kernel_threads (1)
-  --kernel_autotune (false) --kernel_autotune_cache PATH
-  --autograd_static (true)  --grad_checkpoint (false)
-  --shard_fanout (0)        --stream_chunk (0)
-  --csv_out PATH write the per-round history as CSV
+  --trim_fraction per-side trim of trimmed_mean (0.2)
+  --clip_multiplier norm bound as a multiple of the median delta norm (3)
+  --validate screen non-finite updates/maps before aggregation (true)
+
+Checkpoint / resume (bit-identical crash recovery; all [exempt]):
+  --checkpoint_every write a run checkpoint every k rounds (0 = never)
+  --checkpoint_path PATH of the checkpoint file (required with the above)
+  --resume_from PATH restore a checkpoint and continue to --rounds
+
+Parallelism (bit-identical at any setting; all [exempt]):
+  --num_threads parallel local training (1 = sequential)
+  --kernel_threads intra-op GEMM/conv threads (1 = serial kernels)
+  --kernel_autotune benchmark tile candidates per GEMM shape and keep
+      the winner (false; all candidates bit-identical, docs/PERFORMANCE.md)
+  --kernel_autotune_cache PATH persist winning tiles across runs
+      (requires --kernel_autotune; corrupt/stale caches abort)
+
+Autograd (bit-identical at any setting; docs/AUTOGRAD.md; all [exempt]):
+  --autograd_static record each client bout's step-0 graph and replay it
+      for the remaining local steps (true)
+  --grad_checkpoint drop LSTM per-timestep activations at segment close
+      and rematerialize them during backward; ~one extra forward per
+      timestep for O(1)-per-timestep activation memory (false)
+
+Scale (hierarchical aggregation; docs/ARCHITECTURE.md):
+  --shard_fanout updates per shard task of the canonical aggregation
+      tree (power of two; 0 = flat loop, byte-identical to goldens;
+      any power of two yields one canonical tree result)
+  --stream_chunk train/fold the cohort in chunks of this many clients
+      (requires --shard_fanout > 0; mean-aggregating methods only;
+      0 = all-at-once)
+
+Output (docs/OBSERVABILITY.md):
+  --csv_out PATH write the per-round history, including the metric
+      registry's per-round snapshots, as CSV [exempt]
+
+Serve failure handling (rfed_server; docs/DEPLOYMENT.md; all [exempt]):
   --worker_timeout_ms (0, 0=off) failure-detector deadline: a worker
       silent this long (PING/PONG probes cover idle links) is declared
-      dead and its jobs are reassigned; fingerprint-exempt
+      dead and its jobs are reassigned
   --max_worker_restarts (0) mid-run worker rejoins accepted before the
-      run aborts; fingerprint-exempt
+      run aborts
 )";
 
-const char* const kScenarioFlags[] = {
-    "dataset", "method", "clients", "similarity", "rounds", "local_steps",
-    "batch", "sample_ratio", "lr", "lambda", "dp_sigma", "compressor",
-    "selection", "model", "train_examples", "test_examples", "seed",
-    "eval_every", "drop", "corrupt", "duplicate", "delay",
-    "mean_delay_ms", "timeout_ms", "retries", "sim_mode", "compute_model",
-    "compute_ms", "compute_sigma", "compute_drift", "compute_spread",
-    "down_bw", "up_bw", "base_latency_ms", "deadline_ms", "async_buffer",
-    "adversary", "adversary_frac", "adversary_scale", "adversary_sigma",
-    "aggregator", "trim_fraction", "clip_multiplier", "validate",
-    "checkpoint_every", "checkpoint_path", "resume_from",
-    "num_threads", "kernel_threads", "kernel_autotune",
-    "kernel_autotune_cache", "autograd_static", "grad_checkpoint",
-    "shard_fanout", "stream_chunk",
-    "csv_out", "worker_timeout_ms", "max_worker_restarts"};
+// Flags that direct artifacts or set how fast and where a job runs, never
+// what it computes. Every other flag BuildScenario reads is fingerprinted.
+const char* const kFingerprintExempt[] = {
+    "csv_out",         "checkpoint_path",     "resume_from",
+    "checkpoint_every", "num_threads",        "kernel_threads",
+    "kernel_autotune", "kernel_autotune_cache", "autograd_static",
+    "grad_checkpoint", "worker_timeout_ms",   "max_worker_restarts"};
+
+// Reads an enumerated flag whose default is the first choice; aborts on
+// any value outside `choices`.
+std::string GetChoice(const FlagParser& flags, const std::string& key,
+                      std::initializer_list<const char*> choices) {
+  const std::string value = flags.GetString(key, *choices.begin());
+  for (const char* choice : choices) {
+    if (value == choice) return value;
+  }
+  RFED_CHECK(false) << "unknown --" << key << " " << value;
+  return value;
+}
 
 }  // namespace
-
-const std::vector<std::string>& ScenarioFlagNames() {
-  static const std::vector<std::string>* names = [] {
-    auto* v = new std::vector<std::string>();
-    for (const char* name : kScenarioFlags) v->push_back(name);
-    return v;
-  }();
-  return *names;
-}
 
 const char* ScenarioUsage() { return kScenarioUsage; }
 
 Scenario BuildScenario(const FlagParser& flags) {
+  const size_t first_read = flags.reads().size();
   Scenario s;
-  s.dataset = flags.GetString("dataset", "mnist");
+  s.dataset = GetChoice(flags, "dataset", {"mnist", "cifar", "femnist",
+                                           "sent140"});
   s.method = flags.GetString("method", "rFedAvg+");
   const int clients = flags.GetInt("clients", 10);
   const double similarity = flags.GetDouble("similarity", 0.0);
@@ -130,6 +173,9 @@ Scenario BuildScenario(const FlagParser& flags) {
   const int test_examples = flags.GetInt("test_examples", 400);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   const bool is_text = s.dataset == "sent140";
+  // Read for every dataset so the flag is accepted (and validated) with
+  // the text model too, which ignores it.
+  const bool mlp = GetChoice(flags, "model", {"cnn", "mlp"}) == "mlp";
 
   FlConfig& fl = s.fl;
   fl.local_steps = flags.GetInt("local_steps", 5);
@@ -139,7 +185,7 @@ Scenario BuildScenario(const FlagParser& flags) {
   fl.optimizer = is_text ? OptimizerKind::kRmsProp : OptimizerKind::kSgd;
   fl.seed = seed;
   fl.upload_compressor = flags.GetString("compressor", "none");
-  fl.client_selection = flags.GetString("selection", "uniform");
+  fl.client_selection = GetChoice(flags, "selection", {"uniform", "loss"});
   fl.fault.drop_prob = flags.GetDouble("drop", 0.0);
   fl.fault.corrupt_prob = flags.GetDouble("corrupt", 0.0);
   fl.fault.duplicate_prob = flags.GetDouble("duplicate", 0.0);
@@ -189,20 +235,22 @@ Scenario BuildScenario(const FlagParser& flags) {
   reg.dp.sigma = flags.GetDouble("dp_sigma", 0.0);
   reg.dp.batch_size = fl.batch_size;
 
-  s.eval_every = flags.GetInt("eval_every", 1);
-  s.checkpoint_every = flags.GetInt("checkpoint_every", 0);
-  s.checkpoint_path = flags.GetString("checkpoint_path", "");
+  s.trainer.eval_every = flags.GetInt("eval_every", 1);
+  s.trainer.eval_max_examples = 400;
+  s.trainer.verbose = true;
+  s.trainer.checkpoint_every = flags.GetInt("checkpoint_every", 0);
+  s.trainer.checkpoint_path = flags.GetString("checkpoint_path", "");
+  RFED_CHECK(s.trainer.checkpoint_every <= 0 ||
+             !s.trainer.checkpoint_path.empty())
+      << "--checkpoint_every needs --checkpoint_path";
   s.resume_from = flags.GetString("resume_from", "");
   s.csv_out = flags.GetString("csv_out", "");
-  // Fingerprint-exempt (like the worker count): failure handling moves
-  // jobs between processes but never changes what a job computes.
   s.worker_timeout_ms = flags.GetIntInRange("worker_timeout_ms", 0, 0,
                                             3600 * 1000);
   s.max_worker_restarts = flags.GetIntInRange("max_worker_restarts", 0, 0,
                                               1000000);
 
-  // Data + partition + model — verbatim the experiment_cli construction,
-  // consuming Rng(seed) draws in the identical order.
+  // Data + partition + model, consuming Rng(seed) draws in a fixed order.
   Rng rng(seed);
   if (is_text) {
     TextProfile profile = Sent140LikeProfile();
@@ -236,7 +284,7 @@ Scenario BuildScenario(const FlagParser& flags) {
       s.views.push_back(ClientView{split.client_indices[k],
                                    test_split.client_indices[k]});
     }
-    if (flags.GetString("model", "cnn") == "mlp") {
+    if (mlp) {
       MlpConfig mc;
       mc.in_channels = profile.channels;
       mc.image_size = profile.image_size;
@@ -256,51 +304,21 @@ Scenario BuildScenario(const FlagParser& flags) {
 
   s.algorithm = Build(s.method, fl, reg, s.train.get(), s.views, s.factory);
 
-  // Canonical spec string -> fingerprint. Covers every flag that shapes
-  // the data, the model, or the round trajectory; deliberately excludes
-  // output paths (csv_out, checkpoint_path) and resume_from, which only
-  // direct artifacts.
-  std::ostringstream spec;
-  spec << "dataset=" << s.dataset << ";method=" << s.method
-       << ";clients=" << clients << ";similarity=" << similarity
-       << ";rounds=" << s.rounds << ";train_examples=" << train_examples
-       << ";test_examples=" << test_examples << ";seed=" << seed
-       << ";local_steps=" << fl.local_steps << ";batch=" << fl.batch_size
-       << ";sample_ratio=" << fl.sample_ratio << ";lr=" << fl.lr
-       << ";lambda=" << reg.lambda << ";dp_sigma=" << reg.dp.sigma
-       << ";compressor=" << fl.upload_compressor
-       << ";selection=" << fl.client_selection
-       << ";model=" << flags.GetString("model", "cnn")
-       << ";eval_every=" << s.eval_every
-       << ";drop=" << fl.fault.drop_prob << ";corrupt=" << fl.fault.corrupt_prob
-       << ";duplicate=" << fl.fault.duplicate_prob
-       << ";delay=" << fl.fault.delay_prob
-       << ";mean_delay_ms=" << fl.fault.mean_delay_ms
-       << ";timeout_ms=" << fl.fault.round_timeout_ms
-       << ";retries=" << fl.fault.max_retries << ";sim_mode=" << sim_mode
-       << ";compute_model=" << compute_model
-       << ";compute_ms=" << fl.sim.compute.mean_ms_per_step
-       << ";compute_sigma=" << fl.sim.compute.sigma
-       << ";compute_drift=" << fl.sim.compute.drift
-       << ";compute_spread=" << fl.sim.compute.hetero_spread
-       << ";down_bw=" << fl.sim.network.down_bytes_per_ms
-       << ";up_bw=" << fl.sim.network.up_bytes_per_ms
-       << ";base_latency_ms=" << fl.sim.network.base_latency_ms
-       << ";deadline_ms=" << fl.sim.deadline_ms
-       << ";async_buffer=" << fl.sim.async_buffer
-       << ";adversary=" << fl.adversary.mode
-       << ";adversary_frac=" << fl.adversary.fraction
-       << ";adversary_scale=" << fl.adversary.scale
-       << ";adversary_sigma=" << fl.adversary.noise_sigma
-       << ";aggregator=" << fl.robust.aggregator
-       << ";trim_fraction=" << fl.robust.trim_fraction
-       << ";clip_multiplier=" << fl.robust.clip_multiplier
-       << ";validate=" << fl.robust.validate
-       << ";shard_fanout=" << fl.shard_fanout
-       << ";stream_chunk=" << fl.stream_chunk;
-  const std::string text = spec.str();
+  // Fingerprint every flag read above, by its resolved value, unless
+  // kFingerprintExempt names it.
+  std::string spec;
+  const std::map<std::string, std::string> resolved(
+      flags.reads().begin() + static_cast<ptrdiff_t>(first_read),
+      flags.reads().end());
+  for (const auto& [key, value] : resolved) {
+    if (std::find(std::begin(kFingerprintExempt), std::end(kFingerprintExempt),
+                  key) != std::end(kFingerprintExempt)) {
+      continue;
+    }
+    spec += key + "=" + value + ";";
+  }
   s.fingerprint = static_cast<uint64_t>(
-      Fnv1a32(reinterpret_cast<const uint8_t*>(text.data()), text.size()));
+      Fnv1a32(reinterpret_cast<const uint8_t*>(spec.data()), spec.size()));
   return s;
 }
 

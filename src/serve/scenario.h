@@ -7,17 +7,20 @@
 #include <vector>
 
 #include "fl/algorithm.h"
+#include "fl/trainer.h"
 #include "util/flags.h"
 
 namespace rfed {
 namespace serve {
 
 /// A fully constructed experiment: data, partition, model factory and
-/// algorithm, built from command-line flags with exactly the flag
-/// vocabulary, defaults, and construction order of experiment_cli — the
-/// data/partition RNG consumes draws in the identical sequence, so the
-/// same flags produce bit-identical scenarios in the server, in every
-/// worker, and in the in-process oracle the differential tests replay.
+/// algorithm, built from command-line flags. BuildScenario is the only
+/// code that turns flags into a scenario: experiment_cli, rfed_server and
+/// rfed_worker all build through it, so one flag vocabulary with one set
+/// of defaults and one construction order (the data/partition RNG draws
+/// in a fixed sequence) gives bit-identical scenarios in the CLI, the
+/// server, every worker, and the in-process oracle the differential
+/// tests replay.
 struct Scenario {
   std::string dataset;
   std::string method;
@@ -29,9 +32,9 @@ struct Scenario {
   std::unique_ptr<FederatedAlgorithm> algorithm;
 
   int rounds = 0;
-  int eval_every = 1;
-  int checkpoint_every = 0;
-  std::string checkpoint_path;
+  /// What the binaries run the trainer with: --eval_every and the
+  /// checkpoint flags, a 400-example evaluation cap, verbose logging.
+  TrainerOptions trainer;
   std::string resume_from;
   std::string csv_out;
 
@@ -43,24 +46,25 @@ struct Scenario {
   int worker_timeout_ms = 0;
   int max_worker_restarts = 0;
 
-  /// FNV-1a over the canonical "key=value" rendering of every flag that
-  /// shapes the data, model, or trajectory. Workers send it in HELLO;
-  /// the server refuses a handshake whose fingerprint differs from its
-  /// own — two processes disagreeing on any such flag would diverge
-  /// silently mid-run otherwise.
+  /// FNV-1a over "key=value" for every flag BuildScenario read, with its
+  /// resolved value, minus a short exempt list (output paths, resume and
+  /// checkpoint cadence, thread/autotune/autograd knobs, the failure
+  /// knobs above) that never changes what a job computes. Workers send it
+  /// in HELLO; the server refuses a handshake whose fingerprint differs
+  /// from its own. A new flag is fingerprinted by default, so forgetting
+  /// to think about it refuses a handshake rather than letting two
+  /// processes diverge silently mid-run.
   uint64_t fingerprint = 0;
 };
 
-/// Builds the scenario from parsed flags. Aborts (RFED_CHECK) on an
-/// unknown dataset/method/mode value.
+/// Builds the scenario from parsed flags. Aborts (RFED_CHECK) on a
+/// malformed value, an unknown dataset/method/model/selection/mode value,
+/// or --checkpoint_every without --checkpoint_path.
 Scenario BuildScenario(const FlagParser& flags);
 
-/// The scenario flag names accepted by BuildScenario, for kKnownFlags
-/// unions in the serve binaries.
-const std::vector<std::string>& ScenarioFlagNames();
-
-/// Help text describing the scenario flags (appended to each serve
-/// binary's usage; docs_check greps these --flag tokens).
+/// Help text for every flag BuildScenario reads, printed by all three
+/// binaries' --help (docs_check greps these --flag tokens; serve_test
+/// checks they are exactly the flags read).
 const char* ScenarioUsage();
 
 }  // namespace serve

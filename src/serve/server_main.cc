@@ -52,9 +52,6 @@ std::atomic<bool> g_stop{false};
 
 void HandleStopSignal(int) { g_stop.store(true, std::memory_order_relaxed); }
 
-constexpr const char* kServeFlags[] = {"listen",    "workers",   "pipeline",
-                                       "port_file", "model_out", "help"};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -65,17 +62,6 @@ int main(int argc, char** argv) {
     std::fputs(serve::ScenarioUsage(), stdout);
     return 0;
   }
-  for (const std::string& key : flags.Keys()) {
-    bool known = false;
-    for (const char* k : kServeFlags) known = known || key == k;
-    for (const std::string& k : serve::ScenarioFlagNames()) {
-      known = known || key == k;
-    }
-    if (!known) {
-      std::fprintf(stderr, "unknown flag --%s (see --help)\n", key.c_str());
-      return 1;
-    }
-  }
 
   const HostPort listen = flags.GetHostPort("listen", "127.0.0.1:7710");
   const int num_workers = flags.GetIntInRange("workers", 1, 1, 1024);
@@ -84,6 +70,10 @@ int main(int argc, char** argv) {
   const std::string model_out = flags.GetString("model_out", "");
 
   serve::Scenario scenario = serve::BuildScenario(flags);
+  for (const std::string& key : flags.UnreadKeys()) {
+    std::fprintf(stderr, "unknown flag --%s (see --help)\n", key.c_str());
+    return 1;
+  }
 
   // The state blob every worker restores at HELLO_ACK: the checkpoint's
   // algorithm state when resuming, else the freshly constructed state.
@@ -138,19 +128,9 @@ int main(int argc, char** argv) {
   std::signal(SIGTERM, HandleStopSignal);
   std::signal(SIGINT, HandleStopSignal);
 
-  TrainerOptions options;
-  options.eval_every = scenario.eval_every;
-  options.eval_max_examples = 400;
-  options.verbose = true;
-  options.checkpoint_every = scenario.checkpoint_every;
-  options.checkpoint_path = scenario.checkpoint_path;
-  options.stop_requested = &g_stop;
-  if (options.checkpoint_every > 0 && options.checkpoint_path.empty()) {
-    std::fprintf(stderr, "--checkpoint_every needs --checkpoint_path\n");
-    return 1;
-  }
+  scenario.trainer.stop_requested = &g_stop;
   FederatedTrainer trainer(scenario.algorithm.get(), scenario.test.get(),
-                           options);
+                           scenario.trainer);
   RunHistory history = resuming
                            ? trainer.Run(scenario.rounds, &resume)
                            : trainer.Run(scenario.rounds);

@@ -41,10 +41,6 @@ Deployment:
 
 )";
 
-constexpr const char* kServeFlags[] = {"connect", "worker_id", "workers",
-                                       "connect_attempts", "rejoin_attempts",
-                                       "help"};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -54,17 +50,6 @@ int main(int argc, char** argv) {
     std::fputs(kUsage, stdout);
     std::fputs(serve::ScenarioUsage(), stdout);
     return 0;
-  }
-  for (const std::string& key : flags.Keys()) {
-    bool known = false;
-    for (const char* k : kServeFlags) known = known || key == k;
-    for (const std::string& k : serve::ScenarioFlagNames()) {
-      known = known || key == k;
-    }
-    if (!known) {
-      std::fprintf(stderr, "unknown flag --%s (see --help)\n", key.c_str());
-      return 1;
-    }
   }
 
   const HostPort connect = flags.GetHostPort("connect", "127.0.0.1:7710");
@@ -77,6 +62,10 @@ int main(int argc, char** argv) {
       flags.GetIntInRange("rejoin_attempts", 0, 0, 100000);
 
   serve::Scenario scenario = serve::BuildScenario(flags);
+  for (const std::string& key : flags.UnreadKeys()) {
+    std::fprintf(stderr, "unknown flag --%s (see --help)\n", key.c_str());
+    return 1;
+  }
 
   BackoffPolicy backoff;
   backoff.initial_ms = 50.0;

@@ -1,5 +1,8 @@
 #include "util/flags.h"
 
+#include <cerrno>
+#include <climits>
+#include <cstdio>
 #include <cstdlib>
 
 #include "util/check.h"
@@ -43,27 +46,64 @@ bool FlagParser::Has(const std::string& key) const {
   return values_.count(key) > 0;
 }
 
+const std::string* FlagParser::Find(const std::string& key) const {
+  auto it = values_.find(key);
+  return it == values_.end() ? nullptr : &it->second;
+}
+
 std::string FlagParser::GetString(const std::string& key,
                                   const std::string& default_value) const {
-  auto it = values_.find(key);
-  return it == values_.end() ? default_value : it->second;
+  const std::string* text = Find(key);
+  const std::string value = text == nullptr ? default_value : *text;
+  reads_.emplace_back(key, value);
+  return value;
 }
 
 int FlagParser::GetInt(const std::string& key, int default_value) const {
-  auto it = values_.find(key);
-  return it == values_.end() ? default_value : std::atoi(it->second.c_str());
+  const std::string* text = Find(key);
+  int value = default_value;
+  if (text != nullptr) {
+    errno = 0;
+    char* end = nullptr;
+    const long parsed = std::strtol(text->c_str(), &end, 10);
+    RFED_CHECK(!text->empty() && *end == '\0' && errno == 0 &&
+               parsed >= INT_MIN && parsed <= INT_MAX)
+        << "--" << key << " expects an integer, got '" << *text << "'";
+    value = static_cast<int>(parsed);
+  }
+  reads_.emplace_back(key, std::to_string(value));
+  return value;
 }
 
 double FlagParser::GetDouble(const std::string& key,
                              double default_value) const {
-  auto it = values_.find(key);
-  return it == values_.end() ? default_value : std::atof(it->second.c_str());
+  const std::string* text = Find(key);
+  double value = default_value;
+  if (text != nullptr) {
+    char* end = nullptr;
+    value = std::strtod(text->c_str(), &end);
+    RFED_CHECK(!text->empty() && *end == '\0')
+        << "--" << key << " expects a number, got '" << *text << "'";
+  }
+  char canonical[32];
+  std::snprintf(canonical, sizeof(canonical), "%.17g", value);
+  reads_.emplace_back(key, canonical);
+  return value;
 }
 
 bool FlagParser::GetBool(const std::string& key, bool default_value) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return default_value;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string* text = Find(key);
+  bool value = default_value;
+  if (text != nullptr) {
+    const bool yes = *text == "true" || *text == "1" || *text == "yes";
+    const bool no = *text == "false" || *text == "0" || *text == "no";
+    RFED_CHECK(yes || no) << "--" << key
+                          << " expects true|false|1|0|yes|no, got '" << *text
+                          << "'";
+    value = yes;
+  }
+  reads_.emplace_back(key, value ? "true" : "false");
+  return value;
 }
 
 HostPort FlagParser::GetHostPort(const std::string& key,
@@ -85,11 +125,14 @@ int FlagParser::GetIntInRange(const std::string& key, int default_value,
   return value;
 }
 
-std::vector<std::string> FlagParser::Keys() const {
-  std::vector<std::string> keys;
-  keys.reserve(values_.size());
-  for (const auto& [key, value] : values_) keys.push_back(key);
-  return keys;
+std::vector<std::string> FlagParser::UnreadKeys() const {
+  std::vector<std::string> unread;
+  for (const auto& [key, value] : values_) {
+    bool read = false;
+    for (const auto& r : reads_) read = read || r.first == key;
+    if (!read) unread.push_back(key);
+  }
+  return unread;
 }
 
 }  // namespace rfed

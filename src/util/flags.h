@@ -3,6 +3,7 @@
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace rfed {
@@ -21,14 +22,19 @@ struct HostPort {
 bool ParseHostPort(const std::string& text, HostPort* out);
 
 /// Minimal --key=value / --key value command-line parser for the example
-/// binaries and the experiment CLI. Unknown keys are kept and can be
-/// listed, so callers can reject typos explicitly.
+/// binaries and the experiment CLI. Every Get* call records its key as
+/// read, so a binary that has read all the flags it understands can
+/// reject the rest (UnreadKeys) as typos.
 class FlagParser {
  public:
   /// Parses argv; aborts on malformed arguments (missing value).
   FlagParser(int argc, const char* const* argv);
 
   bool Has(const std::string& key) const;
+  /// Typed accessors; an absent key yields the default. GetInt and
+  /// GetDouble abort (RFED_CHECK, naming the flag) unless the whole value
+  /// is a number — "2x" or "fast" is an error, not 2 or 0 — and GetInt
+  /// also unless it fits an int. GetBool accepts true|false|1|0|yes|no.
   std::string GetString(const std::string& key,
                         const std::string& default_value) const;
   int GetInt(const std::string& key, int default_value) const;
@@ -45,11 +51,23 @@ class FlagParser {
   int GetIntInRange(const std::string& key, int default_value, int min_value,
                     int max_value) const;
 
-  /// All parsed keys (for validation / usage messages).
-  std::vector<std::string> Keys() const;
+  /// Parsed keys that no Get* call has read yet.
+  std::vector<std::string> UnreadKeys() const;
+
+  /// Every Get* call so far, in call order: the key and the canonical
+  /// text of the value it resolved to (parsed or default; numbers in
+  /// round-trip form, bools as true/false). Reads from reads().size() at
+  /// some point onward are exactly the flags one caller consumed.
+  const std::vector<std::pair<std::string, std::string>>& reads() const {
+    return reads_;
+  }
 
  private:
+  /// The raw value of `key`, or nullptr if absent; records nothing.
+  const std::string* Find(const std::string& key) const;
+
   std::map<std::string, std::string> values_;
+  mutable std::vector<std::pair<std::string, std::string>> reads_;
 };
 
 }  // namespace rfed

@@ -5,10 +5,11 @@
 # Seven stale-documentation tripwires, run as `ctest -L docs`:
 #   1. Every relative markdown link in README.md and docs/*.md must
 #      resolve to an existing file or directory.
-#   2. Every `--flag` token mentioned in docs/REPRODUCING.md,
-#      docs/OBSERVABILITY.md and docs/PERFORMANCE.md must appear in
-#      `experiment_cli --help` (modulo a short whitelist of
-#      cmake/ctest/bench flags the docs quote).
+#   2. Every `--flag` token mentioned in README.md or docs/*.md must
+#      appear in the `--help` of experiment_cli (or, when passed, of
+#      rfed_server or rfed_worker), modulo a short whitelist of
+#      cmake/ctest/bench flags the docs quote. Without the serve
+#      binaries, the deployment flags the docs quote read as stale.
 #   3. Every `ctest -L <label>` invocation quoted in README.md or
 #      docs/*.md must name a label registered in the build's test
 #      registry (`ctest --print-labels`), so docs cannot advertise a
@@ -66,16 +67,20 @@ rm -f /tmp/docs_check_links.$$
 
 # ---- 2. Stale flag names ----
 help_out=$("$cli" --help 2>&1) || fail "experiment_cli --help exited nonzero"
+for bin in "$server_bin" "$worker_bin"; do
+  [ -n "$bin" ] || continue
+  help_out="$help_out
+$("$bin" --help 2>&1)" || fail "$bin --help exited nonzero"
+done
 # Flags the docs legitimately mention that belong to other tools.
 whitelist="--help --build --output-on-failure --label-regex --test-dir --smoke --min_ms --out"
 
-for doc in "$root"/docs/REPRODUCING.md "$root"/docs/OBSERVABILITY.md \
-           "$root"/docs/PERFORMANCE.md; do
-  [ -f "$doc" ] || { fail "missing $doc"; continue; }
+for doc in "$root"/README.md "$root"/docs/*.md; do
+  [ -f "$doc" ] || continue
   for flag in $(grep -oE '\-\-[a-z][a-z0-9_-]*' "$doc" | sort -u); do
     case " $whitelist " in *" $flag "*) continue ;; esac
     if ! printf '%s\n' "$help_out" | grep -q -- "$flag"; then
-      fail "$doc mentions $flag, absent from experiment_cli --help"
+      fail "$doc mentions $flag, absent from every binary's --help"
     fi
   done
 done

@@ -378,7 +378,7 @@ TEST(FlagsTest, ParsesAllForms) {
   EXPECT_EQ(flags.GetInt("missing", 42), 42);
   EXPECT_TRUE(flags.Has("alpha"));
   EXPECT_FALSE(flags.Has("beta"));
-  EXPECT_EQ(flags.Keys().size(), 4u);
+  EXPECT_TRUE(flags.UnreadKeys().empty());
 }
 
 }  // namespace

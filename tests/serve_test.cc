@@ -22,6 +22,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -155,11 +157,8 @@ void RunOracle(const std::vector<std::string>& args,
   pid_t pid = fork();
   if (pid == 0) {
     serve::Scenario scenario = BuildFromArgs(args);
-    TrainerOptions options;
-    options.eval_every = scenario.eval_every;
-    options.eval_max_examples = 400;
     FederatedTrainer trainer(scenario.algorithm.get(), scenario.test.get(),
-                             options);
+                             scenario.trainer);
     RunHistory history = trainer.Run(scenario.rounds);
     SaveHistoryCsv(history, csv_path);
     SaveTensorToFile(scenario.algorithm->global_state(), model_path);
@@ -569,6 +568,118 @@ TEST(ServeHandshakeDeathTest, FingerprintMismatchAborts) {
         worker.join();
       },
       "different scenario");
+}
+
+// ---- scenario vocabulary and fingerprint ----
+
+// One valid non-default value per flag BuildScenario reads, plus any
+// companion flags that value needs; exempt entries must leave the
+// fingerprint alone, every other entry must change it.
+struct FlagVariant {
+  std::string key;
+  std::string value;
+  std::vector<std::string> companions;
+  bool exempt = false;
+};
+
+std::vector<FlagVariant> FlagVariants() {
+  const std::string ck = TempPath("variant.ck");
+  return {
+      {"dataset", "cifar"},          {"method", "FedProx"},
+      {"clients", "3"},              {"similarity", "0.5"},
+      {"rounds", "3"},               {"train_examples", "120"},
+      {"test_examples", "40"},       {"seed", "4"},
+      {"model", "cnn"},              {"local_steps", "3"},
+      {"batch", "6"},                {"sample_ratio", "0.5"},
+      {"lr", "0.05"},                {"lambda", "0.01"},
+      {"dp_sigma", "0.5"},           {"compressor", "q8"},
+      {"selection", "loss"},         {"eval_every", "2"},
+      {"drop", "0.1"},               {"corrupt", "0.1"},
+      {"duplicate", "0.1"},          {"delay", "0.1"},
+      {"mean_delay_ms", "20"},       {"timeout_ms", "100"},
+      {"retries", "1"},              {"sim_mode", "async"},
+      {"compute_model", "lognormal"}, {"compute_ms", "1"},
+      {"compute_sigma", "0.5"},      {"compute_drift", "0.1"},
+      {"compute_spread", "0.5"},     {"down_bw", "100"},
+      {"up_bw", "100"},              {"base_latency_ms", "5"},
+      {"deadline_ms", "100"},        {"async_buffer", "3"},
+      {"adversary", "nan"},          {"adversary_frac", "0.5"},
+      {"adversary_scale", "10"},     {"adversary_sigma", "2"},
+      {"aggregator", "median"},      {"trim_fraction", "0.1"},
+      {"clip_multiplier", "2"},      {"validate", "false"},
+      {"shard_fanout", "2"},
+      {"stream_chunk", "2", {"--shard_fanout", "2"}},
+      {"csv_out", TempPath("variant.csv"), {}, true},
+      {"checkpoint_path", ck, {}, true},
+      {"checkpoint_every", "2", {"--checkpoint_path", ck}, true},
+      {"resume_from", ck, {}, true},
+      {"num_threads", "2", {}, true},
+      {"kernel_threads", "2", {}, true},
+      {"kernel_autotune", "true", {}, true},
+      {"kernel_autotune_cache", TempPath("variant.tune"),
+       {"--kernel_autotune", "true"}, true},
+      {"autograd_static", "false", {}, true},
+      {"grad_checkpoint", "true", {}, true},
+      {"worker_timeout_ms", "1000", {}, true},
+      {"max_worker_restarts", "2", {}, true},
+  };
+}
+
+// The help text and the flags BuildScenario reads are one vocabulary:
+// no flag is read undocumented, and no documented flag goes unread.
+TEST(ScenarioVocabulary, UsageListsExactlyTheFlagsRead) {
+  const char* argv[] = {"serve_test"};
+  FlagParser flags(1, argv);
+  serve::BuildScenario(flags);
+  std::set<std::string> read;
+  for (const auto& r : flags.reads()) read.insert(r.first);
+
+  const std::string usage = serve::ScenarioUsage();
+  const std::regex token("--([a-z][a-z0-9_]*)");
+  std::set<std::string> documented;
+  for (auto it = std::sregex_iterator(usage.begin(), usage.end(), token);
+       it != std::sregex_iterator(); ++it) {
+    documented.insert((*it)[1]);
+  }
+  EXPECT_EQ(read, documented);
+
+  std::set<std::string> covered;
+  for (const FlagVariant& v : FlagVariants()) covered.insert(v.key);
+  EXPECT_EQ(read, covered) << "FlagVariants() needs one entry per flag";
+}
+
+// Every flag outside the exempt list is fingerprinted: a deployment whose
+// processes disagree on it is refused at HELLO. Exempt flags never are.
+TEST(ScenarioVocabulary, FingerprintCoversExactlyTheNonExemptFlags) {
+  for (const FlagVariant& v : FlagVariants()) {
+    std::vector<std::string> args = TinyScenarioFlags("FedAvg", 2);
+    args.insert(args.end(), v.companions.begin(), v.companions.end());
+    const uint64_t base = BuildFromArgs(args).fingerprint;
+    args.push_back("--" + v.key);
+    args.push_back(v.value);
+    const uint64_t changed = BuildFromArgs(args).fingerprint;
+    if (v.exempt) {
+      EXPECT_EQ(changed, base) << "--" << v.key << " is fingerprint-exempt";
+    } else {
+      EXPECT_NE(changed, base) << "--" << v.key << " is not fingerprinted";
+    }
+  }
+  // Leave the process-global kernel settings at their defaults.
+  BuildFromArgs(TinyScenarioFlags("FedAvg", 2));
+}
+
+// Unknown enumerated values abort rather than fall back to a default:
+// --dataset cifar10 must not run MNIST under the name "cifar10".
+TEST(ScenarioDeathTest, UnknownEnumValuesAbort) {
+  EXPECT_DEATH(BuildFromArgs({"--dataset", "cifar10"}),
+               "unknown --dataset cifar10");
+  EXPECT_DEATH(BuildFromArgs({"--model", "resnet"}), "unknown --model resnet");
+  EXPECT_DEATH(BuildFromArgs({"--dataset", "sent140", "--model", "lstm"}),
+               "unknown --model lstm");
+  EXPECT_DEATH(BuildFromArgs({"--selection", "greedy"}),
+               "unknown --selection greedy");
+  EXPECT_DEATH(BuildFromArgs({"--checkpoint_every", "2"}),
+               "--checkpoint_every needs --checkpoint_path");
 }
 
 // A worker that accepts jobs but never answers (black-holed link) must be

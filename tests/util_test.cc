@@ -276,5 +276,61 @@ TEST(FlagParserDeathTest, GetIntInRangeAbortsOutsideRange) {
                "must be in");
 }
 
+TEST(FlagParserTest, TypedAccessorsAcceptWellFormedValues) {
+  const FlagParser flags =
+      MakeFlags({"--a", "-3", "--b", "+4", "--lr", "1e-3", "--r", ".5",
+                 "--t", "yes", "--f", "no", "--one", "1", "--zero", "0",
+                 "--bare"});
+  EXPECT_EQ(flags.GetInt("a", 0), -3);
+  EXPECT_EQ(flags.GetInt("b", 0), 4);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("lr", 0.0), 1e-3);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("r", 0.0), 0.5);
+  EXPECT_TRUE(flags.GetBool("t", false));
+  EXPECT_FALSE(flags.GetBool("f", true));
+  EXPECT_TRUE(flags.GetBool("one", false));
+  EXPECT_FALSE(flags.GetBool("zero", true));
+  EXPECT_TRUE(flags.GetBool("bare", false));
+}
+
+TEST(FlagParserTest, RecordsReadsWithResolvedValues) {
+  const FlagParser flags = MakeFlags({"--clients", "8", "--typo", "1"});
+  EXPECT_EQ(flags.GetInt("clients", 10), 8);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("lr", 0.25), 0.25);
+  EXPECT_FALSE(flags.GetBool("validate", false));
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"clients", "8"}, {"lr", "0.25"}, {"validate", "false"}};
+  EXPECT_EQ(flags.reads(), expected);
+  EXPECT_EQ(flags.UnreadKeys(), std::vector<std::string>{"typo"});
+}
+
+TEST(FlagParserDeathTest, GetIntAbortsOnNonInteger) {
+  EXPECT_DEATH(MakeFlags({"--clients", "abc"}).GetInt("clients", 10),
+               "--clients expects an integer, got 'abc'");
+  EXPECT_DEATH(MakeFlags({"--clients", "2x"}).GetInt("clients", 10),
+               "--clients expects an integer, got '2x'");
+  EXPECT_DEATH(MakeFlags({"--clients", "2.5"}).GetInt("clients", 10),
+               "--clients expects an integer");
+  EXPECT_DEATH(MakeFlags({"--clients="}).GetInt("clients", 10),
+               "--clients expects an integer");
+  EXPECT_DEATH(MakeFlags({"--seed", "99999999999"}).GetInt("seed", 1),
+               "--seed expects an integer");
+}
+
+TEST(FlagParserDeathTest, GetDoubleAbortsOnNonNumber) {
+  EXPECT_DEATH(MakeFlags({"--lr", "fast"}).GetDouble("lr", 0.08),
+               "--lr expects a number, got 'fast'");
+  EXPECT_DEATH(MakeFlags({"--lr", "0.1x"}).GetDouble("lr", 0.08),
+               "--lr expects a number, got '0.1x'");
+  EXPECT_DEATH(MakeFlags({"--lr="}).GetDouble("lr", 0.08),
+               "--lr expects a number");
+}
+
+TEST(FlagParserDeathTest, GetBoolAbortsOnUnknownSpelling) {
+  EXPECT_DEATH(MakeFlags({"--validate", "flase"}).GetBool("validate", true),
+               "--validate expects .*, got 'flase'");
+  EXPECT_DEATH(MakeFlags({"--validate", "TRUE"}).GetBool("validate", true),
+               "--validate expects");
+}
+
 }  // namespace
 }  // namespace rfed
