@@ -23,6 +23,10 @@
 //       pass over threads {1,2,4}, tiny timings, no JSON (the
 //       `bench_smoke` ctest target)
 //   --min_ms N    measurement window per timing (default 300; smoke 5)
+//
+// Thread counts above std::thread::hardware_concurrency() are skipped
+// for timing (and listed as "skipped_threads"); the bit-identity gate
+// runs at every count.
 
 #include <algorithm>
 #include <cmath>
@@ -100,10 +104,12 @@ struct Case {
   bool acceptance = false;  // the EXPERIMENTS.md >= 3x shape
 };
 
-/// The sweep. Miniature shapes mirror the repo's 12x12 synthetic
-/// profiles (CnnConfig defaults: conv1 8ch, conv2 16ch, k=5 same-pad,
-/// LSTM 16->32); paper-scale shapes use the source paper's real CIFAR-10
-/// dimensions (32x32x3, batch 32, 64-channel first conv).
+/// The sweep. The cnn_* conv cases are the two layers the workload CNN
+/// runs (experiment_cli and e2ebench: 12x12 inputs, 3->4->8 channels,
+/// k=5 same-pad, local-step batch 24). The other miniature shapes mirror
+/// the repo's 12x12 synthetic profiles (CnnConfig defaults: conv1 8ch,
+/// conv2 16ch, LSTM 16->32); paper-scale shapes use the source paper's
+/// real CIFAR-10 dimensions (32x32x3, batch 32, 64-channel first conv).
 std::vector<Case> Sweep() {
   std::vector<Case> cases;
   // GEMMs: {m, k, n} as C[m,n] += A[m,k] B[k,n].
@@ -114,11 +120,20 @@ std::vector<Case> Sweep() {
   // weights [64, 75] x columns [75, 32*32*32]. The acceptance shape.
   cases.push_back(
       {"cifar_conv1_gemm", Kind::kGemmAdd, 64, 75, 32768, {}, false, true});
-  // Backward shapes of that conv, one image: dcols[k,n] += W^T[m,k] go[m,n]
-  // and dW[m,k] = go[m,n] cols[k,n]^T.
+  // TransA / TransB GEMMs at that conv's per-image backward shape:
+  // C[k,n] += W^T[m,k] go[m,n] and dW[m,k] = go[m,n] cols[k,n]^T.
   cases.push_back({"conv_dx_gemm", Kind::kGemmTransA, 64, 75, 1024, {}, true});
   cases.push_back({"conv_dw_gemm", Kind::kGemmTransB, 64, 1024, 75, {}, true});
   // End-to-end convolutions (batch, cin, h, w, cout, kernel, stride, pad).
+  // The workload CNN's layers first.
+  cases.push_back({"cnn_conv1_fwd", Kind::kConvFwd, 0, 0, 0,
+                   {24, 3, 12, 12, 4, 5, 1, 2}, true});
+  cases.push_back({"cnn_conv1_bwd", Kind::kConvBwd, 0, 0, 0,
+                   {24, 3, 12, 12, 4, 5, 1, 2}});
+  cases.push_back({"cnn_conv2_fwd", Kind::kConvFwd, 0, 0, 0,
+                   {24, 4, 6, 6, 8, 5, 1, 2}});
+  cases.push_back({"cnn_conv2_bwd", Kind::kConvBwd, 0, 0, 0,
+                   {24, 4, 6, 6, 8, 5, 1, 2}, true});
   cases.push_back({"conv1_mnist_fwd", Kind::kConvFwd, 0, 0, 0,
                    {32, 1, 12, 12, 8, 5, 1, 2}, true});
   cases.push_back({"conv2_mnist_fwd", Kind::kConvFwd, 0, 0, 0,
@@ -260,8 +275,8 @@ struct Result {
   std::vector<Timing> opt;
   // Single-thread timing with the autotuner's committed pick live, plus
   // that pick when the case maps to one tuned (op, shape) key. Conv
-  // cases tune their inner per-image GEMMs, whose keys are not the
-  // case's own shape, so they record the timing but no tile.
+  // cases run fixed conv tiles the tuner does not touch, so they record
+  // the timing but no tile.
   Timing tuned{};
   bool tuned_tile_known = false;
   TileConfig tuned_tile;
@@ -274,7 +289,7 @@ void SetThreads(int threads) {
 }
 
 void WriteJson(const std::string& path, const std::vector<Result>& results,
-               double min_ms) {
+               double min_ms, const std::vector<int>& skipped_threads) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
@@ -290,6 +305,11 @@ void WriteJson(const std::string& path, const std::vector<Result>& results,
   std::fprintf(f, "  \"isa\": \"%s\",\n", KernelIsaName(ActiveKernelIsa()));
   std::fprintf(f, "  \"host_hw_threads\": %u,\n",
                std::thread::hardware_concurrency());
+  std::fprintf(f, "  \"skipped_threads\": [");
+  for (size_t i = 0; i < skipped_threads.size(); ++i) {
+    std::fprintf(f, "%s%d", i > 0 ? ", " : "", skipped_threads[i]);
+  }
+  std::fprintf(f, "],\n");
   std::fprintf(f, "  \"min_ms_per_timing\": %.0f,\n", min_ms);
   std::fprintf(f, "  \"cases\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
@@ -354,6 +374,20 @@ int Main(int argc, char** argv) {
   const double min_ms = flags.GetDouble("min_ms", smoke ? 5.0 : 300.0);
   const std::string out = flags.GetString("out", smoke ? "" : "BENCH_kernels.json");
 
+  // Timing at more threads than the host has measures oversubscription,
+  // not the kernels: those counts are verified but not timed.
+  const int hw_threads = static_cast<int>(std::thread::hardware_concurrency());
+  std::vector<int> timed_threads, skipped_threads;
+  for (int threads : kThreadCounts) {
+    (hw_threads > 0 && threads > hw_threads ? skipped_threads : timed_threads)
+        .push_back(threads);
+  }
+  for (int threads : skipped_threads) {
+    std::printf("skipping timing at threads=%d: host has %d hardware "
+                "threads (bit-identity still checked)\n",
+                threads, hw_threads);
+  }
+
   std::vector<Result> results;
   int failures = 0;
   for (const Case& c : Sweep()) {
@@ -375,7 +409,7 @@ int Main(int argc, char** argv) {
     r.ref_ms = TimeMs([&] { wb.Run(c, false); }, min_ms);
     const double flops = static_cast<double>(CaseFlops(c));
     r.ref_gflops = flops / (r.ref_ms * 1e6);
-    for (int threads : kThreadCounts) {
+    for (int threads : timed_threads) {
       SetThreads(threads);
       Timing t;
       t.threads = threads;
@@ -387,8 +421,7 @@ int Main(int argc, char** argv) {
     // Autotuned single-thread timing: fresh tuner, one sample per
     // candidate, and enough warmup calls that every (op, shape) this
     // case touches commits before the measured windows (pure GEMM cases
-    // touch one key; conv cases commit during their first call, which
-    // runs a whole batch of identically-shaped inner GEMMs).
+    // touch one key; conv cases touch none).
     {
       SetThreads(1);
       AutotuneConfig tune;
@@ -434,7 +467,7 @@ int Main(int argc, char** argv) {
   }
   SetKernelOptions(KernelOptions{});
 
-  if (!out.empty()) WriteJson(out, results, min_ms);
+  if (!out.empty()) WriteJson(out, results, min_ms, skipped_threads);
   if (failures > 0) return 1;
   if (smoke) {
     std::printf("smoke OK: all cases bit-identical across threads {1,2,4}\n");

@@ -108,7 +108,7 @@ Variable GatherRows(const Variable& table, const std::vector<int>& ids);
 Variable GatherRows(const Variable& table, const std::vector<int>& ids,
                     int timestep);
 /// NCHW convolution; w is [Cout, Cin*K*K] (im2col layout), b is [Cout].
-/// Backward routes through Conv2dBackward's im2col GEMMs.
+/// Backward routes through Conv2dBackward (Conv2dBackwardKernel).
 Variable Conv2d(const Variable& x, const Variable& w, const Variable& b,
                 const Conv2dSpec& spec);
 /// 2x2 max pooling (stride 2) over NCHW. The argmax indices are cached

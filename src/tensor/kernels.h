@@ -9,9 +9,9 @@ namespace rfed {
 // High-performance deterministic compute kernels.
 //
 // This layer owns the hot inner loops of the simulator: the three GEMM
-// variants every Linear/LSTM/Conv2d forward and backward bottoms out in,
-// plus the im2col/col2im unfolding of the convolution path. The kernels
-// are cache-blocked, packed, and vectorized with explicit SIMD register
+// variants every Linear/LSTM forward and backward bottoms out in, plus
+// the Conv2d forward and backward drivers. The kernels are
+// cache-blocked, packed, and vectorized with explicit SIMD register
 // tiles (AVX2+FMA where the CPU has it, a portable soft-fma fallback
 // everywhere else, dispatched at runtime), and can optionally run
 // n-partitioned across a thread pool — while staying **bit-identical**
@@ -34,11 +34,11 @@ namespace rfed {
 // no *implicit* contraction can ever diverge from this explicit scheme.
 //
 // Batched reductions that the references accumulate serially (Conv2d's
-// dw/db across the batch) are decomposed into fixed per-item partials
-// combined in ascending item order, which is the same float addition
-// sequence the reference performs. See docs/KERNELS.md for the full
-// scheme, the per-ISA microkernel shapes and the cache layout of the
-// packed panels.
+// dw/db across the batch) keep that serial order: each dw/db element is
+// owned by one thread, which adds the per-image terms in ascending image
+// order — the same float addition sequence the reference performs. See
+// docs/KERNELS.md for the full scheme, the per-ISA microkernel shapes,
+// the cache layout of the packed panels and the conv layouts.
 //
 // Caveat (documented, tested): the references skip multiplications by an
 // exact 0.0f operand; the blocked kernels do not. Under IEEE-754
@@ -106,11 +106,11 @@ const char* KernelIsaName(KernelIsa isa);
 /// Whether this build+CPU can run the AVX2+FMA path.
 bool KernelAvx2Available();
 
-/// Grow-only per-thread scratch buffers the kernels pack panels and
-/// im2col columns into, so steady-state training allocates nothing per
-/// call. Each caller owns a slot id (see kernels_dispatch.h for the
-/// convention); a slot's pointer is valid until the same thread requests
-/// the same slot again. A process-wide high-water mark of allocated
+/// Grow-only per-thread scratch buffers the kernels pack panels, padded
+/// images and conv columns into, so steady-state training allocates
+/// nothing per call. Each caller owns a slot id (see kernels_dispatch.h
+/// for the convention); a slot's pointer is valid until the same thread
+/// requests the same slot again. A process-wide high-water mark of allocated
 /// scratch is kept for the RunHistory accounting.
 class ScratchArena {
  public:
@@ -119,7 +119,15 @@ class ScratchArena {
 
   /// Returns `floats` contiguous floats for `slot` (contents
   /// unspecified), growing the slot if needed.
-  float* Buffer(int slot, size_t floats);
+  float* Buffer(int slot, size_t floats) { return Typed<float>(slot, floats); }
+
+  /// Buffer() for another trivial element type. Slots are untyped
+  /// storage, so one slot may hold floats in one kernel call and
+  /// doubles in the next.
+  template <typename T>
+  T* Typed(int slot, size_t count) {
+    return static_cast<T*>(Raw(slot, count * sizeof(T)));
+  }
 
   /// Peak total scratch bytes allocated across all thread arenas since
   /// start (or the last ResetPeak).
@@ -129,11 +137,12 @@ class ScratchArena {
  private:
   ScratchArena() = default;
   ~ScratchArena();
+  void* Raw(int slot, size_t bytes);
   struct Slot {
-    float* data = nullptr;
-    size_t capacity = 0;
+    void* data = nullptr;  ///< ::operator new storage
+    size_t bytes = 0;
   };
-  static constexpr int kMaxSlots = 8;
+  static constexpr int kMaxSlots = 11;
   Slot slots_[kMaxSlots];
 };
 
@@ -175,6 +184,8 @@ void KernelParallelFor(int64_t chunks, const Fn& fn) {
 
 /// Unfolds one NCHW image x [cin, h, w] into im2col columns
 /// cols [cin*k*k, ho*wo] for a square kernel (zero padding outside).
+/// Im2Col and Col2Im define the references' layout; the optimized conv
+/// drivers work on zero-padded image copies instead.
 struct Im2ColSpec {
   int64_t kernel = 0;
   int64_t stride = 1;
@@ -206,17 +217,30 @@ struct ConvKernelShape {
   int64_t Patch() const { return in_channels * kernel * kernel; }
 };
 
-/// out[B, Cout, Ho, Wo] = conv(x[B, Cin, H, W], w[Cout, Cin*K*K]) + bias,
-/// via per-image im2col + blocked GEMM, batch-parallel. `out` must be
-/// pre-zeroed. Bit-identical to ref::Conv2dForwardKernel.
+/// Images per chunk of the conv drivers: the forward and dx thread
+/// partition is over chunks, the dx GEMM runs once per chunk (4 images
+/// make its width 4*Ho*Wo a multiple of the 8-wide vector whenever
+/// Ho*Wo is even), and conv scratch is bounded by one chunk per thread
+/// whatever the batch (map_sync forwards 256 examples at once).
+inline constexpr int64_t kConvChunkImages = 4;
+
+/// out[B, Cout, Ho, Wo] = conv(x[B, Cin, H, W], w[Cout, Cin*K*K]) + bias.
+/// Per image: a zero-padded copy, then one conv GEMM of the packed
+/// weights against it — at stride 1 read in place as rows shifted by
+/// (ky, kx), no im2col; other strides gather im2col columns first.
+/// Chunk-parallel. `out` must be pre-zeroed (it is overwritten).
+/// Bit-identical to ref::Conv2dForwardKernel.
 void Conv2dForwardKernel(const float* x, const float* w, const float* bias,
                          const ConvKernelShape& s, float* out);
 
 /// Gradients of Conv2dForwardKernel; any of dx/dw/db may be null to
-/// skip, non-null outputs must be pre-zeroed. Batch-parallel with
-/// per-image partials reduced in ascending image order — the reference's
-/// exact float addition sequence. Bit-identical to
-/// ref::Conv2dBackwardKernel.
+/// skip, non-null outputs must be pre-zeroed. dx: per chunk one conv
+/// GEMM of the transposed weights against grad_out (n = chunk * Ho*Wo),
+/// then col2im, chunk-parallel. dw: register-blocked double chains over
+/// a padded double copy of each image, parallel over (channel, patch)
+/// tiles that each walk the images in ascending order. db: parallel
+/// over channels, each adding its per-image sums in image order.
+/// Bit-identical to ref::Conv2dBackwardKernel.
 void Conv2dBackwardKernel(const float* grad_out, const float* x,
                           const float* w, const ConvKernelShape& s, float* dx,
                           float* dw, float* db);

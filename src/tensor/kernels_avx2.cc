@@ -15,6 +15,12 @@
 // GemmTransBAssign: 8 double chains per panel via _mm256_fmadd_pd on
 // widened floats. float*float is exact in double, so the fused chain is
 // bit-equal to the reference's mul+add chain.
+//
+// Conv GEMM: 4x24 — four packed weight rows against three 8-wide
+// vectors of a B row read in place (an im2col row or a shifted row of
+// the padded image); conv dw: up to 12 __m256d
+// chains (4 output channels per vector) over broadcast image values.
+// Both follow the same one-rounding-per-step argument.
 
 #ifdef RFED_HAVE_AVX2
 
@@ -106,6 +112,93 @@ struct Avx2Traits {
     _mm256_storeu_pd(out, acc0);
     _mm256_storeu_pd(out + 4, acc1);
   }
+
+  template <int NT>
+  static void ConvMicro(const float* ap, const float* b, const int64_t* offs,
+                        int64_t k, float* c, int64_t ldc) {
+    // 4 x 8*NT accumulators (12 at NT=3) + NT B vectors + 1 broadcast.
+    // Fully unrolled constant loops let GCC keep the array in ymm
+    // registers.
+    __m256 acc[4][NT];
+#pragma GCC unroll 4
+    for (int r = 0; r < 4; ++r) {
+#pragma GCC unroll 3
+      for (int t = 0; t < NT; ++t) acc[r][t] = _mm256_setzero_ps();
+    }
+    for (int64_t p = 0; p < k; ++p) {
+      __m256 bv[NT];
+#pragma GCC unroll 3
+      for (int t = 0; t < NT; ++t) bv[t] = _mm256_loadu_ps(b + offs[p] + 8 * t);
+#pragma GCC unroll 4
+      for (int r = 0; r < 4; ++r) {
+        const __m256 a = _mm256_broadcast_ss(ap + p * 4 + r);
+#pragma GCC unroll 3
+        for (int t = 0; t < NT; ++t) {
+          acc[r][t] = _mm256_fmadd_ps(a, bv[t], acc[r][t]);
+        }
+      }
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < 4; ++r) {
+#pragma GCC unroll 3
+      for (int t = 0; t < NT; ++t) {
+        _mm256_storeu_ps(c + r * ldc + 8 * t, acc[r][t]);
+      }
+    }
+  }
+
+  template <int NV, int R, int NX>
+  static void DwChains(const double* const* rows, const double* god,
+                       int64_t ocp, int64_t ho, int64_t wo, int64_t stride,
+                       int64_t wp, float* const* dst) {
+    // NV*R*NX <= 12 __m256d chains (4 output channels each), fed by one
+    // grad_out vector per 4 channels and one broadcast image value per
+    // (row, kx): 8-12 independent fmadd_pd chains in flight.
+    __m256d acc[R][NX][NV];
+#pragma GCC unroll 2
+    for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 6
+      for (int x = 0; x < NX; ++x) {
+#pragma GCC unroll 2
+        for (int v = 0; v < NV; ++v) acc[r][x][v] = _mm256_setzero_pd();
+      }
+    }
+    for (int64_t oy = 0; oy < ho; ++oy) {
+      const double* src[R];
+#pragma GCC unroll 2
+      for (int r = 0; r < R; ++r) src[r] = rows[r] + oy * stride * wp;
+      for (int64_t ox = 0; ox < wo; ++ox, god += ocp) {
+        __m256d g[NV];
+#pragma GCC unroll 2
+        for (int v = 0; v < NV; ++v) g[v] = _mm256_loadu_pd(god + 4 * v);
+#pragma GCC unroll 2
+        for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 6
+          for (int x = 0; x < NX; ++x) {
+            const __m256d xv = _mm256_broadcast_sd(src[r] + x);
+#pragma GCC unroll 2
+            for (int v = 0; v < NV; ++v) {
+              acc[r][x][v] = _mm256_fmadd_pd(xv, g[v], acc[r][x][v]);
+            }
+          }
+          src[r] += stride;
+        }
+      }
+    }
+#pragma GCC unroll 2
+    for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 6
+      for (int x = 0; x < NX; ++x) {
+#pragma GCC unroll 2
+        for (int v = 0; v < NV; ++v) {
+          // vcvtpd2ps rounds each lane like static_cast<float>.
+          float* d = dst[r] + x * ocp + 4 * v;
+          _mm_storeu_ps(d, _mm_add_ps(_mm_loadu_ps(d),
+                                      _mm256_cvtpd_ps(acc[r][x][v])));
+        }
+      }
+    }
+  }
 };
 
 }  // namespace
@@ -118,6 +211,8 @@ const BlockedKernels* Avx2KernelsOrNull() {
       static_cast<int>(Avx2Traits::kTr),
       &GemmAddBlockedT<Avx2Traits>,
       &GemmTransBBlockedT<Avx2Traits>,
+      &ConvGemmT<Avx2Traits>,
+      &ConvDwT<Avx2Traits>,
   };
   return &table;
 }

@@ -18,6 +18,21 @@
 //   // fma chains identical — either implementation is canonical):
 //   static void DotChains(const float* a, const float* panel, int64_t n,
 //                         double* out);
+//   // Conv GEMM tile: C[4, 8*NT] = ap[k][4]^T * B[k, 8*NT] (row p of
+//   // B at b + offs[p], used in place), ascending p from +0, one fused
+//   // rounding per step; NT in {1, 3}:
+//   template <int NT>
+//   static void ConvMicro(const float* ap, const float* b,
+//                         const int64_t* offs, int64_t k, float* c,
+//                         int64_t ldc);
+//   // Conv dw chains: dst[r][x*ocp + l] += float(sum over a = (oy, ox)
+//   // ascending of god[a*ocp + l] * rows[r][oy*stride*wp +
+//   // ox*stride + x]), one double rounding per step (exact products),
+//   // l < 4*NV:
+//   template <int NV, int R, int NX>
+//   static void DwChains(const double* const* rows, const double* god,
+//                        int64_t ocp, int64_t ho, int64_t wo,
+//                        int64_t stride, int64_t wp, float* const* dst);
 //
 // Every instantiation computes the canonical summation order of
 // kernels.h, so instantiations differ only in speed, never in bits.
@@ -232,6 +247,72 @@ void GemmTransBBlockedT(const float* a, const float* b, int64_t m, int64_t n,
   } else {
     for (int64_t ci = 0; ci < chunks; ++ci) run_chunk(ci);
   }
+}
+
+/// The conv GEMM (BlockedKernels::conv_gemm): 4-row groups of the
+/// packed A against B read in place, 24-column register tiles with an
+/// 8-column tail. Each element is one ascending-p fused chain from +0;
+/// the tiles only choose which elements are in flight.
+template <typename Traits>
+void ConvGemmT(const float* apack, const float* b, const int64_t* row_offsets,
+               int64_t groups, int64_t k, int64_t n, float* c) {
+  for (int64_t g = 0; g < groups; ++g) {
+    const float* ap = apack + g * k * 4;
+    float* cg = c + g * 4 * n;
+    int64_t j = 0;
+    for (; j + 24 <= n; j += 24) {
+      Traits::template ConvMicro<3>(ap, b + j, row_offsets, k, cg + j, n);
+    }
+    for (; j < n; j += 8) {
+      Traits::template ConvMicro<1>(ap, b + j, row_offsets, k, cg + j, n);
+    }
+  }
+}
+
+/// One dw tile at compile-time shape (NV channel vectors, R rows, NX
+/// kx): resolves the row pointers, then runs the Traits chains.
+template <typename Traits, int NV, int R, int NX>
+void ConvDwTileT(const ConvDwTile& t) {
+  const double* rows[R];
+  float* dst[R];
+  for (int r = 0; r < R; ++r) {
+    const int64_t row = t.row0 + r;  // row = c * kernel + ky
+    rows[r] = t.xpd + ((row / t.kernel) * t.hp + row % t.kernel) * t.wp +
+              t.kx0;
+    dst[r] = t.dwt + (row * t.kernel + t.kx0) * t.ocp + t.oc0;
+  }
+  Traits::template DwChains<NV, R, NX>(rows, t.god + t.oc0, t.ocp, t.ho,
+                                       t.wo, t.stride, t.wp, dst);
+}
+
+template <typename Traits, int NV, int R>
+void ConvDwRowsT(const ConvDwTile& t) {
+  switch (t.nx) {
+    case 1: return ConvDwTileT<Traits, NV, R, 1>(t);
+    case 2: return ConvDwTileT<Traits, NV, R, 2>(t);
+    case 3: return ConvDwTileT<Traits, NV, R, 3>(t);
+    default: break;
+  }
+  if constexpr (NV * R * 6 <= 12) {
+    switch (t.nx) {
+      case 4: return ConvDwTileT<Traits, NV, R, 4>(t);
+      case 5: return ConvDwTileT<Traits, NV, R, 5>(t);
+      case 6: return ConvDwTileT<Traits, NV, R, 6>(t);
+      default: break;
+    }
+  }
+}
+
+/// BlockedKernels::conv_dw: dispatches a runtime tile shape to its
+/// compile-time instantiation (accumulators must be named registers).
+template <typename Traits>
+void ConvDwT(const ConvDwTile& t) {
+  if (t.nv == 1) {
+    if (t.rows == 1) return ConvDwRowsT<Traits, 1, 1>(t);
+    return ConvDwRowsT<Traits, 1, 2>(t);
+  }
+  if (t.rows == 1) return ConvDwRowsT<Traits, 2, 1>(t);
+  return ConvDwRowsT<Traits, 2, 2>(t);
 }
 
 }  // namespace internal

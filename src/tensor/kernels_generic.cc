@@ -56,6 +56,41 @@ struct GenericTraits {
     }
     for (int64_t t = 0; t < kTr; ++t) out[t] = acc[t];
   }
+
+  template <int NT>
+  static void ConvMicro(const float* ap, const float* b, const int64_t* offs,
+                        int64_t k, float* c, int64_t ldc) {
+    for (int64_t r = 0; r < 4; ++r) {
+      for (int64_t j = 0; j < 8 * NT; ++j) {
+        float acc = 0.0f;
+        for (int64_t p = 0; p < k; ++p) {
+          acc = std::fmaf(ap[p * 4 + r], b[offs[p] + j], acc);
+        }
+        c[r * ldc + j] = acc;
+      }
+    }
+  }
+
+  template <int NV, int R, int NX>
+  static void DwChains(const double* const* rows, const double* god,
+                       int64_t ocp, int64_t ho, int64_t wo, int64_t stride,
+                       int64_t wp, float* const* dst) {
+    for (int r = 0; r < R; ++r) {
+      for (int x = 0; x < NX; ++x) {
+        for (int l = 0; l < NV * 4; ++l) {
+          double acc = 0.0;
+          const double* g = god + l;
+          for (int64_t oy = 0; oy < ho; ++oy) {
+            const double* src = rows[r] + oy * stride * wp + x;
+            for (int64_t ox = 0; ox < wo; ++ox, g += ocp) {
+              acc += *g * src[ox * stride];
+            }
+          }
+          dst[r][x * ocp + l] += static_cast<float>(acc);
+        }
+      }
+    }
+  }
 };
 
 }  // namespace
@@ -68,6 +103,8 @@ const BlockedKernels& GenericKernels() {
       static_cast<int>(GenericTraits::kTr),
       &GemmAddBlockedT<GenericTraits>,
       &GemmTransBBlockedT<GenericTraits>,
+      &ConvGemmT<GenericTraits>,
+      &ConvDwT<GenericTraits>,
   };
   return table;
 }

@@ -94,7 +94,7 @@ struct Conv2dSpec {
 };
 
 /// x: [B, Cin, H, W], w: [Cout, Cin*K*K], b: [Cout] -> [B, Cout, Ho, Wo];
-/// per-image im2col + blocked GEMM (Conv2dForwardKernel).
+/// runs Conv2dForwardKernel (tensor/kernels.h).
 Tensor Conv2dForward(const Tensor& x, const Tensor& w, const Tensor& b,
                      const Conv2dSpec& spec);
 /// Gradients of Conv2dForward. Any output pointer may be null to skip;

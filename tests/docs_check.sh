@@ -2,7 +2,7 @@
 # docs_check.sh <repo_root> <experiment_cli_binary> [build_dir]
 #               [rfed_server_binary] [rfed_worker_binary]
 #
-# Seven stale-documentation tripwires, run as `ctest -L docs`:
+# Eight stale-documentation tripwires, run as `ctest -L docs`:
 #   1. Every relative markdown link in README.md and docs/*.md must
 #      resolve to an existing file or directory.
 #   2. Every `--flag` token mentioned in README.md or docs/*.md must
@@ -27,6 +27,10 @@
 #   7. Every page under docs/ must be reachable: its filename must be
 #      mentioned by README.md or by another docs page, so a new doc
 #      cannot be merged as an orphan nobody can discover.
+#   8. Every span name in the span table of docs/OBSERVABILITY.md must
+#      appear as a string literal in each source file (under src/) that
+#      its row names, so the table cannot outlive a renamed or moved
+#      span.
 set -u
 
 root="${1:?usage: docs_check.sh <repo_root> <experiment_cli>}"
@@ -162,6 +166,28 @@ for doc in "$root"/docs/*.md; do
     fail "docs/$base is linked from neither README.md nor any other doc"
   fi
 done
+
+# ---- 8. Span table rows point at the files that emit them ----
+obs_doc="$root/docs/OBSERVABILITY.md"
+span_rows=$(awk '/^## Span taxonomy/{f=1; next} /^## /{f=0}
+                 f && /^\| `/' "$obs_doc" 2>/dev/null)
+if [ -z "$span_rows" ]; then
+  fail "$obs_doc has no span table rows under '## Span taxonomy'"
+fi
+while IFS='|' read -r _ names _ files _; do
+  [ -n "$names" ] || continue
+  for file in $(grep -oE '`[^`]+`' <<<"$files" | tr -d '`'); do
+    if [ ! -f "$root/src/$file" ]; then
+      fail "$obs_doc span table names src/$file, which does not exist"
+      continue
+    fi
+    for span in $(grep -oE '`[^`]+`' <<<"$names" | tr -d '`'); do
+      if ! grep -qF "\"$span\"" "$root/src/$file"; then
+        fail "$obs_doc says span $span is emitted from $file, which has no \"$span\" literal"
+      fi
+    done
+  done
+done <<<"$span_rows"
 
 if [ "$failures" -gt 0 ]; then
   echo "docs_check: FAILED ($failures problem(s))" >&2

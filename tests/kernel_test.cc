@@ -12,6 +12,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -297,62 +298,168 @@ std::vector<ConvKernelShape> ConvCases() {
   cases.push_back({1, 3, 11, 11, 2, 5, 1, 2}); // 5x5 kernel, wide pad
   cases.push_back({4, 2, 6, 6, 1, 1, 1, 0});   // pointwise 1x1
   cases.push_back({2, 1, 5, 5, 2, 3, 3, 1});   // stride > 1 with pad
+  cases.push_back({2, 2, 9, 9, 9, 7, 1, 3});   // k > 6 splits kx, cout 9
+  // The workload CNN's two layers (experiment_cli: 12x12 inputs, 3->4->8
+  // channels, 5x5 kernels, pad 2) at the local-step batch (24), the
+  // evaluation batch (64), the map_sync batch (256), one image, and a
+  // batch that is not a multiple of the conv chunk.
+  for (int64_t batch : {int64_t{1}, int64_t{24}, int64_t{64}, int64_t{256},
+                        kConvChunkImages * 3 + 1}) {
+    cases.push_back({batch, 3, 12, 12, 4, 5, 1, 2});  // conv1
+    cases.push_back({batch, 4, 6, 6, 8, 5, 1, 2});    // conv2
+  }
   return cases;
 }
 
+/// A conv input as the CNN produces it after ReLU + max-pool: runs of
+/// exact zeros, plus a sprinkling of -0.0f.
+std::vector<float> ReluLikeInput(int64_t n, float phase) {
+  std::vector<float> v = Pattern(n, 1.0f, phase);
+  for (int64_t i = 0; i < n; ++i) {
+    float& e = v[static_cast<size_t>(i)];
+    if (e < 0.0f) e = 0.0f;
+    if (i % 11 == 5) e = -0.0f;
+  }
+  return v;
+}
+
+/// The inputs every conv bit-identity case runs: a signed ramp (the
+/// normalized images the first layer sees) and a ReLU-like one (what the
+/// second layer sees).
+struct ConvInput {
+  const char* name;
+  std::vector<float> x;
+};
+
+std::vector<ConvInput> ConvInputs(int64_t n, float phase) {
+  return {{"signed", Pattern(n, 1.0f, phase)},
+          {"relu-like", ReluLikeInput(n, phase)}};
+}
+
+std::string ConvCaseName(const ConvKernelShape& s, const ConvInput& in,
+                         KernelIsa isa, int threads) {
+  return std::string("x=") + in.name + " isa=" + KernelIsaName(isa) +
+         " threads=" + std::to_string(threads) +
+         " batch=" + std::to_string(s.batch) +
+         " cin=" + std::to_string(s.in_channels) +
+         " cout=" + std::to_string(s.out_channels) +
+         " k=" + std::to_string(s.kernel) +
+         " stride=" + std::to_string(s.stride) +
+         " pad=" + std::to_string(s.pad);
+}
+
 TEST_F(KernelTest, Conv2dForwardMatchesReferenceBitwise) {
-  for (int threads : kThreadCounts) {
-    SetKernelOptions(TinyBlocks(threads));
-    for (const ConvKernelShape& s : ConvCases()) {
-      const auto x = Pattern(s.batch * s.in_channels * s.height * s.width,
-                             1.0f, 0.3f);
-      const auto w = Pattern(s.out_channels * s.Patch(), 0.5f, 1.7f);
-      const auto bias = Pattern(s.out_channels, 0.2f, 0.9f);
+  for (const ConvKernelShape& s : ConvCases()) {
+    const auto w = Pattern(s.out_channels * s.Patch(), 0.5f, 1.7f);
+    const auto bias = Pattern(s.out_channels, 0.2f, 0.9f);
+    for (const ConvInput& in :
+         ConvInputs(s.batch * s.in_channels * s.height * s.width, 0.3f)) {
       std::vector<float> out_ref(
           static_cast<size_t>(s.batch * s.out_channels * s.OutArea()), 0.0f);
-      auto out_opt = out_ref;
-      ref::Conv2dForwardKernel(x.data(), w.data(), bias.data(), s,
+      ref::Conv2dForwardKernel(in.x.data(), w.data(), bias.data(), s,
                                out_ref.data());
-      Conv2dForwardKernel(x.data(), w.data(), bias.data(), s, out_opt.data());
-      ASSERT_EQ(0, std::memcmp(out_ref.data(), out_opt.data(),
-                               out_ref.size() * sizeof(float)))
-          << "threads=" << threads << " batch=" << s.batch
-          << " k=" << s.kernel << " stride=" << s.stride << " pad=" << s.pad;
+      for (KernelIsa isa : TestableIsas()) {
+        for (int threads : kThreadCounts) {
+          KernelOptions o = TinyBlocks(threads);
+          o.isa = isa;
+          SetKernelOptions(o);
+          std::vector<float> out_opt(out_ref.size(), 0.0f);
+          Conv2dForwardKernel(in.x.data(), w.data(), bias.data(), s,
+                              out_opt.data());
+          ASSERT_EQ(0, std::memcmp(out_ref.data(), out_opt.data(),
+                                   out_ref.size() * sizeof(float)))
+              << ConvCaseName(s, in, isa, threads);
+        }
+      }
     }
   }
 }
 
 TEST_F(KernelTest, Conv2dBackwardMatchesReferenceBitwise) {
-  for (int threads : kThreadCounts) {
-    SetKernelOptions(TinyBlocks(threads));
-    for (const ConvKernelShape& s : ConvCases()) {
-      const auto x = Pattern(s.batch * s.in_channels * s.height * s.width,
-                             1.0f, 0.6f);
-      const auto w = Pattern(s.out_channels * s.Patch(), 0.5f, 2.1f);
-      const auto go = Pattern(s.batch * s.out_channels * s.OutArea(),
-                              0.4f, 1.2f);
-      const size_t dx_size =
-          static_cast<size_t>(s.batch * s.in_channels * s.height * s.width);
-      const size_t dw_size = static_cast<size_t>(s.out_channels * s.Patch());
-      const size_t db_size = static_cast<size_t>(s.out_channels);
-      std::vector<float> dx_ref(dx_size, 0.0f), dx_opt(dx_size, 0.0f);
-      std::vector<float> dw_ref(dw_size, 0.0f), dw_opt(dw_size, 0.0f);
-      std::vector<float> db_ref(db_size, 0.0f), db_opt(db_size, 0.0f);
-      ref::Conv2dBackwardKernel(go.data(), x.data(), w.data(), s,
+  for (const ConvKernelShape& s : ConvCases()) {
+    const auto w = Pattern(s.out_channels * s.Patch(), 0.5f, 2.1f);
+    auto go = Pattern(s.batch * s.out_channels * s.OutArea(), 0.4f, 1.2f);
+    for (size_t i = 7; i < go.size(); i += 17) go[i] = -0.0f;
+    const size_t dx_size =
+        static_cast<size_t>(s.batch * s.in_channels * s.height * s.width);
+    const size_t dw_size = static_cast<size_t>(s.out_channels * s.Patch());
+    const size_t db_size = static_cast<size_t>(s.out_channels);
+    for (const ConvInput& in :
+         ConvInputs(s.batch * s.in_channels * s.height * s.width, 0.6f)) {
+      std::vector<float> dx_ref(dx_size, 0.0f);
+      std::vector<float> dw_ref(dw_size, 0.0f);
+      std::vector<float> db_ref(db_size, 0.0f);
+      ref::Conv2dBackwardKernel(go.data(), in.x.data(), w.data(), s,
                                 dx_ref.data(), dw_ref.data(), db_ref.data());
-      Conv2dBackwardKernel(go.data(), x.data(), w.data(), s, dx_opt.data(),
-                           dw_opt.data(), db_opt.data());
-      ASSERT_EQ(0, std::memcmp(dx_ref.data(), dx_opt.data(),
-                               dx_size * sizeof(float)))
-          << "dx threads=" << threads << " stride=" << s.stride;
-      ASSERT_EQ(0, std::memcmp(dw_ref.data(), dw_opt.data(),
-                               dw_size * sizeof(float)))
-          << "dw threads=" << threads << " stride=" << s.stride;
-      ASSERT_EQ(0, std::memcmp(db_ref.data(), db_opt.data(),
-                               db_size * sizeof(float)))
-          << "db threads=" << threads << " stride=" << s.stride;
+      for (KernelIsa isa : TestableIsas()) {
+        for (int threads : kThreadCounts) {
+          KernelOptions o = TinyBlocks(threads);
+          o.isa = isa;
+          SetKernelOptions(o);
+          // dx requested and skipped (the first conv layer's input needs
+          // no gradient): dw/db must not depend on it.
+          for (bool with_dx : {true, false}) {
+            std::vector<float> dx_opt(dx_size, 0.0f);
+            std::vector<float> dw_opt(dw_size, 0.0f);
+            std::vector<float> db_opt(db_size, 0.0f);
+            Conv2dBackwardKernel(go.data(), in.x.data(), w.data(), s,
+                                 with_dx ? dx_opt.data() : nullptr,
+                                 dw_opt.data(), db_opt.data());
+            const std::string name = ConvCaseName(s, in, isa, threads) +
+                                     (with_dx ? " dx" : " no-dx");
+            if (with_dx) {
+              ASSERT_EQ(0, std::memcmp(dx_ref.data(), dx_opt.data(),
+                                       dx_size * sizeof(float)))
+                  << "dx " << name;
+            }
+            ASSERT_EQ(0, std::memcmp(dw_ref.data(), dw_opt.data(),
+                                     dw_size * sizeof(float)))
+                << "dw " << name;
+            ASSERT_EQ(0, std::memcmp(db_ref.data(), db_opt.data(),
+                                     db_size * sizeof(float)))
+                << "db " << name;
+          }
+        }
+      }
     }
   }
+}
+
+/// Scratch bytes one fresh thread allocates running the workload's conv2
+/// layer forward and backward at `batch` (single-threaded kernels, so
+/// every buffer lands in that thread's arena).
+int64_t ConvScratchGrowth(int64_t batch) {
+  const ConvKernelShape s{batch, 4, 6, 6, 8, 5, 1, 2};
+  const auto x = ReluLikeInput(s.batch * s.in_channels * s.height * s.width,
+                               0.1f);
+  const auto w = Pattern(s.out_channels * s.Patch(), 0.5f, 0.2f);
+  const auto bias = Pattern(s.out_channels, 0.2f, 0.3f);
+  const auto go = Pattern(s.batch * s.out_channels * s.OutArea(), 0.4f, 0.4f);
+  std::vector<float> out(static_cast<size_t>(s.batch * s.out_channels *
+                                             s.OutArea()), 0.0f);
+  std::vector<float> dx(x.size(), 0.0f), dw(w.size(), 0.0f),
+      db(bias.size(), 0.0f);
+  int64_t growth = 0;
+  std::thread worker([&] {
+    ScratchArena::ResetPeak();
+    const int64_t base = ScratchArena::PeakBytes();
+    Conv2dForwardKernel(x.data(), w.data(), bias.data(), s, out.data());
+    Conv2dBackwardKernel(go.data(), x.data(), w.data(), s, dx.data(),
+                         dw.data(), db.data());
+    growth = ScratchArena::PeakBytes() - base;
+  });
+  worker.join();
+  return growth;
+}
+
+TEST_F(KernelTest, ConvScratchIsBoundedByOneChunk) {
+  // map_sync forwards 256 examples at once: the conv scratch must stay
+  // what one chunk of kConvChunkImages needs, not grow with the batch.
+  SetKernelOptions(KernelOptions{});
+  const int64_t chunk = ConvScratchGrowth(kConvChunkImages);
+  EXPECT_GT(chunk, 0);
+  EXPECT_LE(ConvScratchGrowth(256), chunk);
+  EXPECT_LE(ConvScratchGrowth(kConvChunkImages * 3 + 1), chunk);
 }
 
 TEST_F(KernelTest, Conv2dBackwardHandlesNullOutputs) {
@@ -377,8 +484,7 @@ TEST_F(KernelTest, Conv2dBackwardHandlesNullOutputs) {
 }
 
 TEST_F(KernelTest, Im2ColRoundTripAgainstStridedWindow) {
-  // stride 1 takes the memcpy fast path; stride 2 the scalar path. Both
-  // must produce the textbook patch layout.
+  // Both strides must produce the textbook patch layout.
   for (int64_t stride : {int64_t{1}, int64_t{2}}) {
     const int64_t cin = 2, h = 5, w = 6, kernel = 3, pad = 1;
     const Im2ColSpec spec{kernel, stride, pad};
