@@ -2,8 +2,8 @@
 // (tensor/kernels.h) against the retained naive references (rfed::ref)
 // on the GEMM and convolution shapes the paper's models actually hit,
 // and writes the table as BENCH_kernels.json (GFLOP/s plus
-// speedup-vs-seed per shape and thread count; see docs/KERNELS.md for
-// how to read it). Every case first asserts the optimized kernel is
+// speedup-vs-seed per shape and thread count; GB/s for the elementwise
+// ReLU and max-pool rows; see docs/KERNELS.md for how to read it). Every case first asserts the optimized kernel is
 // bit-identical to its reference before any timing. Each case is also
 // timed once with the per-shape autotuner live (single thread, enough
 // warmup calls that every shape commits its winning tile before the
@@ -39,6 +39,7 @@
 #include "tensor/autotune.h"
 #include "tensor/kernels.h"
 #include "util/flags.h"
+#include "util/rng.h"
 #include "util/stopwatch.h"
 
 namespace rfed {
@@ -81,7 +82,21 @@ double TimeMs(const F& fn, double min_ms) {
   return best;
 }
 
-enum class Kind { kGemmAdd, kGemmTransA, kGemmTransB, kConvFwd, kConvBwd };
+/// Sign-random normal samples: what ReLU and max-pool see in training,
+/// where a sign branch mispredicts about half the time.
+std::vector<float> Noise(int64_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> v(static_cast<size_t>(n));
+  for (float& e : v) e = static_cast<float>(rng.Normal(0.0, 1.0));
+  return v;
+}
+
+enum class Kind {
+  kGemmAdd, kGemmTransA, kGemmTransB, kConvFwd, kConvBwd,
+  // Elementwise over an NCHW activation (the Case's conv field holds its
+  // [batch, in_channels, height, width]).
+  kReluFwd, kReluBwd, kPoolFwd, kPoolBwd,
+};
 
 const char* KindName(Kind k) {
   switch (k) {
@@ -90,8 +105,17 @@ const char* KindName(Kind k) {
     case Kind::kGemmTransB: return "gemm_transB_assign";
     case Kind::kConvFwd: return "conv2d_forward";
     case Kind::kConvBwd: return "conv2d_backward";
+    case Kind::kReluFwd: return "relu";
+    case Kind::kReluBwd: return "relu_backward";
+    case Kind::kPoolFwd: return "maxpool2x2_forward";
+    case Kind::kPoolBwd: return "maxpool2x2_backward";
   }
   return "?";
+}
+
+bool IsElementwise(Kind k) {
+  return k == Kind::kReluFwd || k == Kind::kReluBwd || k == Kind::kPoolFwd ||
+         k == Kind::kPoolBwd;
 }
 
 struct Case {
@@ -144,7 +168,63 @@ std::vector<Case> Sweep() {
                    {32, 3, 32, 32, 64, 5, 1, 2}});
   cases.push_back({"conv1_cifar_bwd", Kind::kConvBwd, 0, 0, 0,
                    {32, 3, 32, 32, 64, 5, 1, 2}});
+  // The workload CNN's ReLU and 2x2 max-pool on the conv1 output
+  // [B, 4, 12, 12] (pool wo = 6) and the conv2 output [B, 8, 6, 6]
+  // (wo = 3), at the local-step batch (24) and the evaluation batch
+  // (150).
+  struct Elementwise {
+    const char* name;
+    Kind kind;
+    int64_t batch, channels, side;
+    bool smoke;
+  };
+  const Elementwise elementwise[] = {
+      {"cnn_relu1_fwd", Kind::kReluFwd, 24, 4, 12, true},
+      {"cnn_relu1_bwd", Kind::kReluBwd, 24, 4, 12, true},
+      {"cnn_relu2_fwd", Kind::kReluFwd, 24, 8, 6, false},
+      {"cnn_relu2_bwd", Kind::kReluBwd, 24, 8, 6, false},
+      {"cnn_pool1_fwd", Kind::kPoolFwd, 24, 4, 12, true},
+      {"cnn_pool1_bwd", Kind::kPoolBwd, 24, 4, 12, true},
+      {"cnn_pool2_fwd", Kind::kPoolFwd, 24, 8, 6, true},
+      {"cnn_pool2_bwd", Kind::kPoolBwd, 24, 8, 6, true},
+      {"cnn_relu1_fwd_b150", Kind::kReluFwd, 150, 4, 12, false},
+      {"cnn_relu1_bwd_b150", Kind::kReluBwd, 150, 4, 12, false},
+      {"cnn_relu2_fwd_b150", Kind::kReluFwd, 150, 8, 6, false},
+      {"cnn_relu2_bwd_b150", Kind::kReluBwd, 150, 8, 6, false},
+      {"cnn_pool1_fwd_b150", Kind::kPoolFwd, 150, 4, 12, false},
+      {"cnn_pool1_bwd_b150", Kind::kPoolBwd, 150, 4, 12, false},
+      {"cnn_pool2_fwd_b150", Kind::kPoolFwd, 150, 8, 6, false},
+      {"cnn_pool2_bwd_b150", Kind::kPoolBwd, 150, 8, 6, false},
+  };
+  for (const Elementwise& e : elementwise) {
+    ConvKernelShape activation;
+    activation.batch = e.batch;
+    activation.in_channels = e.channels;
+    activation.height = e.side;
+    activation.width = e.side;
+    cases.push_back({e.name, e.kind, 0, 0, 0, activation, e.smoke});
+  }
   return cases;
+}
+
+/// Elements of an elementwise case's input activation.
+int64_t ActivationSize(const Case& c) {
+  return c.conv.batch * c.conv.in_channels * c.conv.height * c.conv.width;
+}
+
+/// Bytes an elementwise case reads and writes per call: ReLU reads x
+/// and writes y; its backward reads g and x and writes dx; the pool
+/// reads 4 inputs and writes 1 output + 1 tap byte per window, its
+/// backward the reverse.
+int64_t CaseBytes(const Case& c) {
+  const int64_t n = ActivationSize(c), f = sizeof(float);
+  switch (c.kind) {
+    case Kind::kReluFwd: return 2 * n * f;
+    case Kind::kReluBwd: return 3 * n * f;
+    case Kind::kPoolFwd:
+    case Kind::kPoolBwd: return n * f + (n / 4) * (f + 1);
+    default: return 0;
+  }
 }
 
 int64_t CaseFlops(const Case& c) {
@@ -160,13 +240,22 @@ int64_t CaseFlops(const Case& c) {
     case Kind::kConvBwd:  // dx GEMM + dw GEMM (db is negligible)
       return 4 * c.conv.batch * c.conv.out_channels * c.conv.Patch() *
              c.conv.OutArea();
+    default:
+      return 0;
   }
-  return 0;
+}
+
+/// The throughput a timing reports: GFLOP/s, or GB/s for elementwise
+/// cases (both are 1e9 units per second of `ms`).
+double Rate(const Case& c, double ms) {
+  const int64_t work = IsElementwise(c.kind) ? CaseBytes(c) : CaseFlops(c);
+  return static_cast<double>(work) / (ms * 1e6);
 }
 
 /// One benchmark case's buffers plus ref/opt runners over them.
 struct Workbench {
   std::vector<float> a, b, bias, out_ref, out_opt, dx, dw, db;
+  std::vector<uint8_t> taps;
 
   explicit Workbench(const Case& c) {
     switch (c.kind) {
@@ -203,8 +292,36 @@ struct Workbench {
         }
         break;
       }
+      case Kind::kReluFwd:
+      case Kind::kReluBwd: {
+        // a = the forward input x, b = the upstream gradient.
+        const int64_t n = ActivationSize(c);
+        a = Noise(n, 11);
+        b = Noise(n, 12);
+        out_ref.assign(static_cast<size_t>(n), 0.0f);
+        break;
+      }
+      case Kind::kPoolFwd:
+      case Kind::kPoolBwd: {
+        // Forward: a = x, out = pooled. Backward: b = grad_out, out = dx,
+        // with the taps of a reference forward over a.
+        const int64_t n = ActivationSize(c);
+        a = Noise(n, 13);
+        b = Noise(n / 4, 14);
+        taps.assign(static_cast<size_t>(n / 4), 0);
+        std::vector<float> pooled(static_cast<size_t>(n / 4));
+        ref::MaxPool2x2Forward(a.data(), PoolRows(c), c.conv.width / 2,
+                               pooled.data(), taps.data());
+        out_ref.assign(static_cast<size_t>(c.kind == Kind::kPoolFwd ? n / 4 : n),
+                       0.0f);
+        break;
+      }
     }
     out_opt = out_ref;
+  }
+
+  static int64_t PoolRows(const Case& c) {
+    return c.conv.batch * c.conv.in_channels * c.conv.height / 2;
   }
 
   /// Runs the case once; `optimized` picks the blocked vs ref kernel.
@@ -239,6 +356,23 @@ struct Workbench {
             out_ref.data(), a.data(), b.data(), c.conv, dx.data(), dw.data(),
             db.data());
         break;
+      case Kind::kReluFwd:
+        (optimized ? ReluKernel : ref::Relu)(a.data(), ActivationSize(c), out);
+        break;
+      case Kind::kReluBwd:
+        (optimized ? ReluBackwardKernel : ref::ReluBackward)(
+            b.data(), a.data(), ActivationSize(c), out);
+        break;
+      case Kind::kPoolFwd:
+        // Both write every tap; the reference's taps equal the ones the
+        // constructor recorded, so the backward cases are unaffected.
+        (optimized ? MaxPool2x2ForwardKernel : ref::MaxPool2x2Forward)(
+            a.data(), PoolRows(c), c.conv.width / 2, out, taps.data());
+        break;
+      case Kind::kPoolBwd:
+        (optimized ? MaxPool2x2BackwardKernel : ref::MaxPool2x2Backward)(
+            b.data(), taps.data(), PoolRows(c), c.conv.width / 2, out);
+        break;
     }
   }
 
@@ -255,23 +389,25 @@ struct Workbench {
     std::fill(out_ref.begin(), out_ref.end(), 0.0f);
     std::fill(out_opt.begin(), out_opt.end(), 0.0f);
     Run(c, /*optimized=*/false);
+    const std::vector<uint8_t> ref_taps = taps;
     Run(c, /*optimized=*/true);
     return std::memcmp(out_ref.data(), out_opt.data(),
-                       out_ref.size() * sizeof(float)) == 0;
+                       out_ref.size() * sizeof(float)) == 0 &&
+           taps == ref_taps;
   }
 };
 
 struct Timing {
   int threads;
   double ms;
-  double gflops;
+  double gflops;  ///< Rate(): GB/s for the elementwise cases
   double speedup;
 };
 
 struct Result {
   Case c;
   double ref_ms = 0.0;
-  double ref_gflops = 0.0;
+  double ref_gflops = 0.0;  ///< Rate(), as Timing::gflops
   std::vector<Timing> opt;
   // Single-thread timing with the autotuner's committed pick live, plus
   // that pick when the case maps to one tuned (op, shape) key. Conv
@@ -316,7 +452,16 @@ void WriteJson(const std::string& path, const std::vector<Result>& results,
     const Result& r = results[i];
     std::fprintf(f, "    {\n      \"name\": \"%s\",\n", r.c.name);
     std::fprintf(f, "      \"kind\": \"%s\",\n", KindName(r.c.kind));
-    if (r.c.kind == Kind::kConvFwd || r.c.kind == Kind::kConvBwd) {
+    if (IsElementwise(r.c.kind)) {
+      const ConvKernelShape& s = r.c.conv;
+      std::fprintf(f,
+                   "      \"shape\": {\"batch\": %lld, \"channels\": %lld, "
+                   "\"h\": %lld, \"w\": %lld},\n",
+                   static_cast<long long>(s.batch),
+                   static_cast<long long>(s.in_channels),
+                   static_cast<long long>(s.height),
+                   static_cast<long long>(s.width));
+    } else if (r.c.kind == Kind::kConvFwd || r.c.kind == Kind::kConvBwd) {
       const ConvKernelShape& s = r.c.conv;
       std::fprintf(f,
                    "      \"shape\": {\"batch\": %lld, \"cin\": %lld, \"h\": "
@@ -335,26 +480,31 @@ void WriteJson(const std::string& path, const std::vector<Result>& results,
                    static_cast<long long>(r.c.m), static_cast<long long>(r.c.k),
                    static_cast<long long>(r.c.n));
     }
-    std::fprintf(f, "      \"flops\": %lld,\n",
-                 static_cast<long long>(CaseFlops(r.c)));
-    std::fprintf(f, "      \"ref_ms\": %.4f,\n      \"ref_gflops\": %.3f,\n",
-                 r.ref_ms, r.ref_gflops);
+    // Elementwise rows measure memory traffic: "bytes" and GB/s where
+    // the compute rows have "flops" and GFLOP/s.
+    const bool bytes = IsElementwise(r.c.kind);
+    const char* rate = bytes ? "gbps" : "gflops";
+    std::fprintf(f, "      \"%s\": %lld,\n", bytes ? "bytes" : "flops",
+                 static_cast<long long>(bytes ? CaseBytes(r.c)
+                                              : CaseFlops(r.c)));
+    std::fprintf(f, "      \"ref_ms\": %.4f,\n      \"ref_%s\": %.3f,\n",
+                 r.ref_ms, rate, r.ref_gflops);
     std::fprintf(f, "      \"acceptance_shape\": %s,\n",
                  r.c.acceptance ? "true" : "false");
     std::fprintf(f, "      \"opt\": [\n");
     for (size_t t = 0; t < r.opt.size(); ++t) {
       const Timing& ot = r.opt[t];
       std::fprintf(f,
-                   "        {\"threads\": %d, \"ms\": %.4f, \"gflops\": %.3f, "
+                   "        {\"threads\": %d, \"ms\": %.4f, \"%s\": %.3f, "
                    "\"speedup_vs_seed\": %.3f}%s\n",
-                   ot.threads, ot.ms, ot.gflops, ot.speedup,
+                   ot.threads, ot.ms, rate, ot.gflops, ot.speedup,
                    t + 1 < r.opt.size() ? "," : "");
     }
     std::fprintf(f, "      ],\n");
     std::fprintf(f,
                  "      \"autotuned\": {\"threads\": 1, \"ms\": %.4f, "
-                 "\"gflops\": %.3f, \"speedup_vs_seed\": %.3f, \"tile\": ",
-                 r.tuned.ms, r.tuned.gflops, r.tuned.speedup);
+                 "\"%s\": %.3f, \"speedup_vs_seed\": %.3f, \"tile\": ",
+                 r.tuned.ms, rate, r.tuned.gflops, r.tuned.speedup);
     if (r.tuned_tile_known) {
       std::fprintf(f, "{\"block_m\": %d, \"block_k\": %d, \"block_n\": %d}}\n",
                    r.tuned_tile.block_m, r.tuned_tile.block_k,
@@ -407,14 +557,13 @@ int Main(int argc, char** argv) {
     r.c = c;
     SetThreads(1);
     r.ref_ms = TimeMs([&] { wb.Run(c, false); }, min_ms);
-    const double flops = static_cast<double>(CaseFlops(c));
-    r.ref_gflops = flops / (r.ref_ms * 1e6);
+    r.ref_gflops = Rate(c, r.ref_ms);
     for (int threads : timed_threads) {
       SetThreads(threads);
       Timing t;
       t.threads = threads;
       t.ms = TimeMs([&] { wb.Run(c, true); }, min_ms);
-      t.gflops = flops / (t.ms * 1e6);
+      t.gflops = Rate(c, t.ms);
       t.speedup = r.ref_ms / t.ms;
       r.opt.push_back(t);
     }
@@ -435,7 +584,7 @@ int Main(int argc, char** argv) {
       for (size_t i = 0; i < warmups; ++i) wb.Run(c, true);
       r.tuned.threads = 1;
       r.tuned.ms = TimeMs([&] { wb.Run(c, true); }, min_ms);
-      r.tuned.gflops = flops / (r.tuned.ms * 1e6);
+      r.tuned.gflops = Rate(c, r.tuned.ms);
       r.tuned.speedup = r.ref_ms / r.tuned.ms;
       // Read the committed pick back for the single-key GEMM cases.
       const char* isa = KernelIsaName(ActiveKernelIsa());
@@ -456,12 +605,14 @@ int Main(int argc, char** argv) {
       SetAutotuneConfig(AutotuneConfig{});
       ResetAutotuneForTest();
     }
-    std::printf("%-18s %-18s ref %8.3f ms (%6.2f GF/s)", c.name,
-                KindName(c.kind), r.ref_ms, r.ref_gflops);
+    const char* unit = IsElementwise(c.kind) ? "GB/s" : "GF/s";
+    std::printf("%-18s %-18s ref %8.3f ms (%6.2f %s)", c.name,
+                KindName(c.kind), r.ref_ms, r.ref_gflops, unit);
     for (const Timing& t : r.opt) {
       std::printf("  t%d %8.3f ms (%5.2fx)", t.threads, t.ms, t.speedup);
     }
-    std::printf("  tuned %8.3f ms (%6.2f GF/s)", r.tuned.ms, r.tuned.gflops);
+    std::printf("  tuned %8.3f ms (%6.2f %s)", r.tuned.ms, r.tuned.gflops,
+                unit);
     std::printf("%s\n", c.acceptance ? "  [acceptance]" : "");
     results.push_back(std::move(r));
   }

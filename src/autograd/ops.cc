@@ -260,9 +260,9 @@ Variable LinearBiasRelu(const Variable& x, const Variable& w,
                                w->value(), x->requires_grad() ? &dx : nullptr,
                                w->requires_grad() ? &dw : nullptr,
                                b->requires_grad() ? &db : nullptr);
-        if (x->requires_grad()) x->AccumulateGrad(dx);
-        if (w->requires_grad()) w->AccumulateGrad(dw);
-        if (b->requires_grad()) b->AccumulateGrad(db);
+        if (x->requires_grad()) x->AccumulateGrad(std::move(dx));
+        if (w->requires_grad()) w->AccumulateGrad(std::move(dw));
+        if (b->requires_grad()) b->AccumulateGrad(std::move(db));
       });
 }
 
@@ -297,7 +297,7 @@ Variable NormalizeRows(const Variable& x, float eps) {
                                          grow[c] - g_mean - hrow[c] * gh_mean);
                     }
                   }
-                  out->inputs[0]->AccumulateGrad(dx);
+                  out->inputs[0]->AccumulateGrad(std::move(dx));
                 });
 }
 
@@ -341,7 +341,7 @@ Variable SliceCols(const Variable& x, int64_t begin, int64_t end) {
                     float* dst = dx.data() + r * cols + begin;
                     for (int64_t c = 0; c < width; ++c) dst[c] += src[c];
                   }
-                  in->AccumulateGrad(dx);
+                  in->AccumulateGrad(std::move(dx));
                 });
 }
 
@@ -373,7 +373,7 @@ Variable Sum(const Variable& x) {
                 [](GraphNode* out) {
                   GraphNode* in = out->inputs[0].get();
                   Tensor dx(in->value_shape(), out->grad().ToScalar());
-                  in->AccumulateGrad(dx);
+                  in->AccumulateGrad(std::move(dx));
                 });
 }
 
@@ -387,7 +387,7 @@ Variable Mean(const Variable& x) {
                 [inv](GraphNode* out) {
                   GraphNode* in = out->inputs[0].get();
                   Tensor dx(in->value_shape(), out->grad().ToScalar() * inv);
-                  in->AccumulateGrad(dx);
+                  in->AccumulateGrad(std::move(dx));
                 });
 }
 
@@ -408,7 +408,7 @@ Variable MeanRows(const Variable& x) {
                       row[c] = out->grad().at(c) * inv;
                     }
                   }
-                  in->AccumulateGrad(dx);
+                  in->AccumulateGrad(std::move(dx));
                 });
 }
 
@@ -450,7 +450,7 @@ Variable GatherRowsImpl(const Variable& table,
                   GraphNode* in = out->inputs[0].get();
                   Tensor dtable(in->value_shape());
                   ScatterAddRows(out->grad(), *ids, &dtable);
-                  in->AccumulateGrad(dtable);
+                  in->AccumulateGrad(std::move(dtable));
                 });
 }
 
@@ -489,23 +489,23 @@ Variable Conv2d(const Variable& x, const Variable& w, const Variable& b,
                                  x->requires_grad() ? &dx : nullptr,
                                  w->requires_grad() ? &dw : nullptr,
                                  b->requires_grad() ? &db : nullptr);
-                  if (x->requires_grad()) x->AccumulateGrad(dx);
-                  if (w->requires_grad()) w->AccumulateGrad(dw);
-                  if (b->requires_grad()) b->AccumulateGrad(db);
+                  if (x->requires_grad()) x->AccumulateGrad(std::move(dx));
+                  if (w->requires_grad()) w->AccumulateGrad(std::move(dw));
+                  if (b->requires_grad()) b->AccumulateGrad(std::move(db));
                 });
 }
 
 Variable MaxPool2x2(const Variable& x) {
-  auto argmax = std::make_shared<std::vector<int64_t>>();
+  auto taps = std::make_shared<std::vector<uint8_t>>();
   return MakeOp({x.node()},
-                [argmax](GraphNode* out) {
+                [taps](GraphNode* out) {
                   out->mutable_value() =
-                      MaxPool2x2Forward(out->inputs[0]->value(), argmax.get());
+                      MaxPool2x2Forward(out->inputs[0]->value(), taps.get());
                 },
-                [argmax](GraphNode* out) {
+                [taps](GraphNode* out) {
                   GraphNode* in = out->inputs[0].get();
                   in->AccumulateGrad(MaxPool2x2Backward(
-                      out->grad(), in->value_shape(), *argmax));
+                      out->grad(), in->value_shape(), *taps));
                 });
 }
 

@@ -5,6 +5,7 @@
 
 #include "autograd/tape.h"
 #include "obs/trace.h"
+#include "tensor/kernels.h"
 #include "util/check.h"
 
 namespace rfed {
@@ -21,6 +22,18 @@ void GraphNode::AccumulateGrad(const Tensor& g) {
   RFED_CHECK(g.shape() == value_shape())
       << g.shape().ToString() << " vs " << value_shape().ToString();
   grad().AddInPlace(g);
+}
+
+void GraphNode::AccumulateGrad(Tensor&& g) {
+  if (has_grad_) {
+    AccumulateGrad(static_cast<const Tensor&>(g));
+    return;
+  }
+  RFED_CHECK(g.shape() == value_shape())
+      << g.shape().ToString() << " vs " << value_shape().ToString();
+  grad_ = std::move(g);
+  has_grad_ = true;
+  PlusZeroKernel(grad_.data(), grad_.size());
 }
 
 void GraphNode::ZeroGrad() {

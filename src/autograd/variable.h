@@ -40,6 +40,11 @@ class GraphNode : public std::enable_shared_from_this<GraphNode> {
   bool has_grad() const { return has_grad_; }
   /// grad() += g. Checks g against the (possibly dropped) value shape.
   void AccumulateGrad(const Tensor& g);
+  /// The same sum for a gradient the caller gives up. The first one of a
+  /// pass is adopted as the gradient's storage and gets 0.0f + g in
+  /// place — the bits the zero-filled gradient plus g would hold (a -0
+  /// becomes +0) without the fill, the add and a second buffer.
+  void AccumulateGrad(Tensor&& g);
   /// Zero-fills the gradient if one exists; keeps its storage.
   void ZeroGrad();
 

@@ -21,6 +21,9 @@ struct FaultProxy::Relay {
   /// trigger counter.
   std::atomic<int64_t> upstream_frames{0};
   std::atomic<bool> blackholed{false};
+  /// Set before a kill plan's trigger frame is forwarded: from then on
+  /// nothing more reaches the client, so no reply to the trigger does.
+  std::atomic<bool> killing{false};
   std::atomic<bool> severed{false};
 };
 
@@ -82,8 +85,10 @@ void FaultProxy::Sever(Relay* relay, bool injected) {
     std::lock_guard<std::mutex> lock(relay->proxy->mu_);
     ++relay->proxy->killed_;
   }
-  relay->client.InterruptBlockingIo();
+  // Upstream first: the server must see a killed worker's EOF before
+  // the worker can see its own and reconnect.
   relay->upstream.InterruptBlockingIo();
+  relay->client.InterruptBlockingIo();
 }
 
 void FaultProxy::RelayLoop(Relay* relay, bool upstream_direction) {
@@ -92,6 +97,9 @@ void FaultProxy::RelayLoop(Relay* relay, bool upstream_direction) {
   // The counter assembler decodes a private copy of the stream purely to
   // find frame boundaries; the relay itself forwards raw bytes verbatim.
   FrameAssembler counter;
+  // Bytes of the client's stream before this read that belong to a frame
+  // the counter has not completed yet.
+  int64_t carried = 0;
   uint8_t buffer[4096];
   while (true) {
     const int64_t got = from.RecvSome(buffer, sizeof(buffer));
@@ -101,28 +109,53 @@ void FaultProxy::RelayLoop(Relay* relay, bool upstream_direction) {
       Sever(relay, /*injected=*/false);
       return;
     }
-    if (!relay->blackholed.load(std::memory_order_relaxed)) {
+    if (!upstream_direction) {
+      if (relay->blackholed.load() || relay->killing.load()) continue;
       if (!to.SendAll(buffer, static_cast<size_t>(got))) {
         Sever(relay, /*injected=*/false);
         return;
       }
+      continue;
     }
-    if (!upstream_direction) continue;
+    // A plan acts where its trigger frame ends: the bytes up to there
+    // are forwarded (unless an earlier black hole swallows them), the
+    // rest of the read is not.
+    int64_t forward = got;
+    bool kill = false, blackhole = false;
+    int64_t end = -carried;  // end of the last completed frame, in buffer
     counter.Feed(buffer, static_cast<size_t>(got));
     Frame frame;
     while (counter.Next(&frame) == FrameAssembler::Status::kFrame) {
+      end += static_cast<int64_t>(kFrameHeaderBytes + frame.payload.size() +
+                                  kFrameChecksumBytes);
       const int64_t seen = 1 + relay->upstream_frames.fetch_add(1);
       const FaultPlan& plan = relay->plan;
       if (plan.kill_after_frames >= 0 && seen >= plan.kill_after_frames) {
-        Sever(relay, /*injected=*/true);
-        return;
+        kill = true;
+      } else if (plan.blackhole_after_frames >= 0 &&
+                 seen >= plan.blackhole_after_frames) {
+        blackhole = true;
       }
-      if (plan.blackhole_after_frames >= 0 &&
-          seen >= plan.blackhole_after_frames) {
-        // From here both directions swallow bytes; the sockets stay open
-        // so only a deadline (not an EOF) can expose the stall.
-        relay->blackholed.store(true, std::memory_order_relaxed);
+      if (kill || blackhole) {
+        forward = end;
+        break;
       }
+    }
+    carried = got - end;
+    if (kill) relay->killing.store(true);
+    if (!relay->blackholed.load() &&
+        !to.SendAll(buffer, static_cast<size_t>(forward))) {
+      Sever(relay, /*injected=*/false);
+      return;
+    }
+    if (kill) {
+      Sever(relay, /*injected=*/true);
+      return;
+    }
+    if (blackhole) {
+      // From here both directions swallow bytes; the sockets stay open
+      // so only a deadline (not an EOF) can expose the stall.
+      relay->blackholed.store(true);
     }
   }
 }

@@ -20,10 +20,14 @@ namespace net {
 /// RESULT, PONG from a worker), so a plan's trigger point is a
 /// deterministic position in the protocol, independent of TCP
 /// segmentation. A connection may have at most one of kill/black-hole
-/// armed; the first threshold reached wins.
+/// armed; the first threshold reached wins. A plan acts at the end of
+/// its trigger frame: client bytes behind it, even in the same read, are
+/// never forwarded.
 struct FaultPlan {
   /// After this many client->upstream frames, sever both sides of the
-  /// relay (each peer sees EOF, as if the process died). -1 = never.
+  /// relay (each peer sees EOF, as if the process died): the upstream
+  /// side first, and no upstream bytes reach the client once the
+  /// trigger frame is on its way. -1 = never.
   int64_t kill_after_frames = -1;
   /// After this many client->upstream frames, keep both sockets open but
   /// silently discard all further bytes in both directions — the

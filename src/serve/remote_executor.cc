@@ -177,6 +177,12 @@ std::pair<Tensor, double> RemoteExecutor::Collect(int round, int client) {
   return out;
 }
 
+int RemoteExecutor::DetectorTickMs() const {
+  return options_.worker_timeout_ms > 0
+             ? std::max(1, options_.worker_timeout_ms / 4)
+             : 200;
+}
+
 void RemoteExecutor::PumpEvents() {
   // Senders that hit a dead peer cannot tear the worker down themselves;
   // fold their verdicts in here first.
@@ -231,10 +237,7 @@ void RemoteExecutor::PumpEvents() {
     owners.push_back(static_cast<int>(i));
   }
   if (listener_ != nullptr) fds.push_back({listener_->fd(), POLLIN, 0});
-  const int tick = options_.worker_timeout_ms > 0
-                       ? std::max(1, options_.worker_timeout_ms / 4)
-                       : 200;
-  const int ready = ::poll(fds.data(), fds.size(), tick);
+  const int ready = ::poll(fds.data(), fds.size(), DetectorTickMs());
   if (ready <= 0) return;  // timeout or EINTR: the next pump rescans
   for (size_t j = 0; j < owners.size(); ++j) {
     // Any event (POLLIN/POLLHUP/POLLERR) is handled by reading: data
@@ -390,11 +393,16 @@ void RemoteExecutor::AcceptRejoin() {
       << "worker " << worker_id << " was launched with a different scenario";
   Worker* current = workers_[static_cast<size_t>(worker_id)].get();
   if (current != nullptr && current->alive) {
-    // The slot's death may simply not have been observed yet: give its
-    // connection one non-blocking read before ruling this a duplicate.
-    struct pollfd probe = {current->conn.fd(), POLLIN, 0};
-    if (::poll(&probe, 1, 0) > 0 && probe.revents != 0) DrainWorker(worker_id);
-    RFED_CHECK(!workers_[static_cast<size_t>(worker_id)]->alive)
+    // The slot's death may simply not have been observed yet: frames the
+    // old worker sent before dying can still sit ahead of its EOF, more
+    // than one read's worth. Drain the old connection until the EOF, or
+    // until it stays quiet for a detector tick — a live duplicate.
+    while (current->alive) {
+      struct pollfd probe = {current->conn.fd(), POLLIN, 0};
+      if (::poll(&probe, 1, DetectorTickMs()) <= 0) break;
+      DrainWorker(worker_id);
+    }
+    RFED_CHECK(!current->alive)
         << "worker id " << worker_id << " connected twice";
   }
   RFED_CHECK(restarts_used_ < options_.max_worker_restarts)

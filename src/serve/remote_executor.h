@@ -139,6 +139,9 @@ class RemoteExecutor : public TrainExecutor {
   /// for at most one detector tick. The only place failures are
   /// detected and the only place completed_ grows.
   void PumpEvents();
+  /// Longest single poll() wait of the event loop: a quarter of the
+  /// failure-detector deadline, 200 ms with the detector off.
+  int DetectorTickMs() const;
   void DrainWorker(int worker_id);
   void HandleFrame(int worker_id, const net::Frame& frame);
   /// Marks the worker dead, tears down its sender/connection, and moves
@@ -148,7 +151,9 @@ class RemoteExecutor : public TrainExecutor {
   void RedistributeOrphans();
   /// Accepts one connection from the retained listener mid-run: a HELLO
   /// or HELLO_REJOIN for a dead slot, validated like the initial
-  /// handshake and charged against the restart budget.
+  /// handshake and charged against the restart budget. A slot still
+  /// marked alive has its old connection drained to EOF first; only a
+  /// connection that then stays open and quiet makes this a duplicate.
   void AcceptRejoin();
   /// Routes to worker `client % W` when alive, else the next live slot;
   /// pumps events (waiting out a total outage) until one exists.

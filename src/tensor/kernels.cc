@@ -219,6 +219,51 @@ void GemmTransBAssign(const float* a, const float* b, int64_t m, int64_t n,
   }
 }
 
+void Relu(const float* x, int64_t n, float* y) {
+  for (int64_t i = 0; i < n; ++i) y[i] = std::max(0.0f, x[i]);
+}
+
+void ReluBackward(const float* g, const float* x, int64_t n, float* dx) {
+  for (int64_t i = 0; i < n; ++i) {
+    dx[i] = g[i];
+    if (x[i] <= 0.0f) dx[i] = 0.0f;
+  }
+}
+
+void MaxPool2x2Forward(const float* x, int64_t rows, int64_t wo, float* out,
+                       uint8_t* tap) {
+  const int64_t w = 2 * wo;
+  for (int64_t r = 0; r < rows; ++r, out += wo, tap += wo) {
+    const float* top = x + r * 2 * w;
+    for (int64_t ox = 0; ox < wo; ++ox) {
+      const float cand[4] = {top[2 * ox], top[2 * ox + 1], top[w + 2 * ox],
+                             top[w + 2 * ox + 1]};
+      uint8_t best = 0;
+      for (uint8_t t = 1; t < 4; ++t) {
+        if (cand[t] > cand[best]) best = t;
+      }
+      out[ox] = cand[best];
+      tap[ox] = best;
+    }
+  }
+}
+
+void MaxPool2x2Backward(const float* grad_out, const uint8_t* tap,
+                        int64_t rows, int64_t wo, float* dx) {
+  const int64_t w = 2 * wo;
+  std::fill(dx, dx + rows * 2 * w, 0.0f);
+  for (int64_t r = 0; r < rows; ++r, grad_out += wo, tap += wo) {
+    float* top = dx + r * 2 * w;
+    for (int64_t ox = 0; ox < wo; ++ox) {
+      top[(tap[ox] >> 1) * w + 2 * ox + (tap[ox] & 1)] += grad_out[ox];
+    }
+  }
+}
+
+void PlusZero(float* x, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) x[i] = 0.0f + x[i];
+}
+
 }  // namespace ref
 
 // ---- im2col / col2im ----
@@ -739,6 +784,53 @@ void Conv2dBackwardKernel(const float* grad_out, const float* x,
   }
   if (dw != nullptr) ConvWeightGrad(grad_out, x, g, table, dw);
   if (dx != nullptr) ConvInputGrad(grad_out, w, g, table, dx);
+}
+
+// ---- Elementwise ----
+
+namespace {
+
+/// Runs `body` under the kernel-entry span `name` when tracing is on;
+/// the disabled path is the bare call.
+template <typename Fn>
+void Traced(const char* name, const Fn& body) {
+  if (obs::TracingEnabled()) {
+    obs::TraceSpan span(name);
+    body();
+    return;
+  }
+  body();
+}
+
+}  // namespace
+
+void ReluKernel(const float* x, int64_t n, float* y) {
+  if (n <= 0) return;
+  Traced("relu", [&] { ActiveTable().relu(x, n, y); });
+}
+
+void ReluBackwardKernel(const float* g, const float* x, int64_t n,
+                        float* dx) {
+  if (n <= 0) return;
+  Traced("relu_backward", [&] { ActiveTable().relu_backward(g, x, n, dx); });
+}
+
+void MaxPool2x2ForwardKernel(const float* x, int64_t rows, int64_t wo,
+                             float* out, uint8_t* tap) {
+  if (rows <= 0 || wo <= 0) return;
+  Traced("maxpool2x2_fwd",
+         [&] { ActiveTable().maxpool2x2_fwd(x, rows, wo, out, tap); });
+}
+
+void MaxPool2x2BackwardKernel(const float* grad_out, const uint8_t* tap,
+                              int64_t rows, int64_t wo, float* dx) {
+  if (rows <= 0 || wo <= 0) return;
+  Traced("maxpool2x2_bwd",
+         [&] { ActiveTable().maxpool2x2_bwd(grad_out, tap, rows, wo, dx); });
+}
+
+void PlusZeroKernel(float* x, int64_t n) {
+  if (n > 0) ActiveTable().plus_zero(x, n);
 }
 
 // ---- Serial conv references ----

@@ -9,15 +9,15 @@ namespace rfed {
 // High-performance deterministic compute kernels.
 //
 // This layer owns the hot inner loops of the simulator: the three GEMM
-// variants every Linear/LSTM forward and backward bottoms out in, plus
-// the Conv2d forward and backward drivers. The kernels are
-// cache-blocked, packed, and vectorized with explicit SIMD register
-// tiles (AVX2+FMA where the CPU has it, a portable soft-fma fallback
-// everywhere else, dispatched at runtime), and can optionally run
-// n-partitioned across a thread pool — while staying **bit-identical**
-// to the retained reference implementations (rfed::ref below) for every
-// ISA, block size, tile candidate and thread count. The rule that makes
-// this possible:
+// variants every Linear/LSTM forward and backward bottoms out in, the
+// Conv2d forward and backward drivers, and the CNN's ReLU and 2x2
+// max-pool passes. The GEMM and conv kernels are cache-blocked, packed,
+// and vectorized with explicit SIMD register tiles (AVX2+FMA where the
+// CPU has it, a portable soft-fma fallback everywhere else, dispatched
+// at runtime), and can optionally run n-partitioned across a thread
+// pool — while staying **bit-identical** to the retained reference
+// implementations (rfed::ref below) for every ISA, block size, tile
+// candidate and thread count. The rule that makes this possible:
 //
 //   Each output element is reduced by exactly one thread, in exactly the
 //   canonical summation order: ascending over the contraction index with
@@ -245,6 +245,45 @@ void Conv2dBackwardKernel(const float* grad_out, const float* x,
                           const float* w, const ConvKernelShape& s, float* dx,
                           float* dw, float* db);
 
+// ---- Elementwise: ReLU and 2x2 max-pool ----
+// Branch-free kernels from the active ISA table, bit-identical to the
+// ref:: loops below for every input: NaN payloads, signed zeros, Inf
+// and denormals included (docs/KERNELS.md "Elementwise").
+
+/// y[i] = max(x[i], 0) as the reference's std::max(0.0f, x): positive
+/// values and +Inf pass, everything else — negatives, -0 and NaN —
+/// becomes +0. y may equal x.
+void ReluKernel(const float* x, int64_t n, float* y);
+
+/// dx[i] = x[i] <= 0 ? +0 : g[i]. The mask is the forward input's
+/// `x <= 0`, so a NaN x passes its gradient through. dx may equal g.
+void ReluBackwardKernel(const float* g, const float* x, int64_t n, float* dx);
+
+/// 2x2 stride-2 max pool over `rows` output rows of `wo` elements;
+/// output row r reads input rows 2r and 2r + 1 (width 2*wo), so an NCHW
+/// tensor [B, C, 2*Ho, 2*wo] is rows = B*C*Ho. The window's taps are
+/// numbered 0 = (top, left), 1 = (top, right), 2 = (bottom, left),
+/// 3 = (bottom, right). The maximum starts at tap 0 and a later tap
+/// replaces it only when strictly greater: ties keep the first tap, a
+/// NaN at tap 0 wins its window and a later NaN never does. tap[o]
+/// receives the winning tap of output o.
+void MaxPool2x2ForwardKernel(const float* x, int64_t rows, int64_t wo,
+                             float* out, uint8_t* tap);
+
+/// Adjoint of MaxPool2x2ForwardKernel: writes every element of dx
+/// [rows*2, 2*wo] — 0.0f + grad_out[o] at the winning tap of window o
+/// (which turns a -0 gradient into +0, as the reference's add into a
+/// zeroed dx does) and +0 at the other three taps. dx needs no
+/// pre-zeroing.
+void MaxPool2x2BackwardKernel(const float* grad_out, const uint8_t* tap,
+                              int64_t rows, int64_t wo, float* dx);
+
+/// x[i] = 0.0f + x[i] in place: what a zero-filled buffer holds once x
+/// is added into it. -0 becomes +0; every other value is kept, NaNs
+/// (quieted) with their payloads. Lets a gradient buffer be adopted
+/// instead of zero-filled and added to (GraphNode::AccumulateGrad).
+void PlusZeroKernel(float* x, int64_t n);
+
 // ---- Canonical-order references ----
 // The scalar ground-truth kernels: portable, single-threaded, no
 // blocking, one std::fma(f) per reduction step — the canonical
@@ -277,6 +316,19 @@ void Conv2dForwardKernel(const float* x, const float* w, const float* bias,
 void Conv2dBackwardKernel(const float* grad_out, const float* x,
                           const float* w, const ConvKernelShape& s, float* dx,
                           float* dw, float* db);
+
+/// y[i] = std::max(0.0f, x[i]).
+void Relu(const float* x, int64_t n, float* y);
+/// dx[i] = g[i], then zeroed wherever x[i] <= 0.
+void ReluBackward(const float* g, const float* x, int64_t n, float* dx);
+/// The sequential strict-> window scan of MaxPool2x2ForwardKernel.
+void MaxPool2x2Forward(const float* x, int64_t rows, int64_t wo, float* out,
+                       uint8_t* tap);
+/// Zero-fills dx, then adds each gradient into its window's winning tap.
+void MaxPool2x2Backward(const float* grad_out, const uint8_t* tap,
+                        int64_t rows, int64_t wo, float* dx);
+/// x[i] = 0.0f + x[i].
+void PlusZero(float* x, int64_t n);
 
 }  // namespace ref
 

@@ -21,12 +21,19 @@
 // the padded image); conv dw: up to 12 __m256d
 // chains (4 output channels per vector) over broadcast image values.
 // Both follow the same one-rounding-per-step argument.
+//
+// Elementwise (ReLU, max-pool, plus-zero): branch-free compare/blend
+// sequences whose operand order reproduces the scalar references'
+// NaN, signed-zero and tie behaviour (docs/KERNELS.md "Elementwise").
 
 #ifdef RFED_HAVE_AVX2
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "tensor/kernels_blocked.h"
 
@@ -201,6 +208,150 @@ struct Avx2Traits {
   }
 };
 
+// ---- Elementwise ----
+// vmaxps(x, 0) returns its second operand unless x > 0, so NaN and -0
+// become +0 exactly as std::max(0.0f, x) = (0 < x ? x : 0) does. The
+// backward mask is an ordered x <= 0 (false for NaN), cleared lanes
+// are +0 bits. Tails run the same instruction on lane 0 (maxss, cmpless).
+
+void Relu(const float* x, int64_t n, float* y) {
+  const __m256 zero = _mm256_setzero_ps();
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(y + i, _mm256_max_ps(_mm256_loadu_ps(x + i), zero));
+  }
+  for (; i < n; ++i) {
+    _mm_store_ss(y + i, _mm_max_ss(_mm_load_ss(x + i), _mm_setzero_ps()));
+  }
+}
+
+void ReluBackward(const float* g, const float* x, int64_t n, float* dx) {
+  const __m256 zero = _mm256_setzero_ps();
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 m = _mm256_cmp_ps(_mm256_loadu_ps(x + i), zero, _CMP_LE_OQ);
+    _mm256_storeu_ps(dx + i, _mm256_andnot_ps(m, _mm256_loadu_ps(g + i)));
+  }
+  for (; i < n; ++i) {
+    const __m128 m = _mm_cmple_ss(_mm_load_ss(x + i), _mm_setzero_ps());
+    _mm_store_ss(dx + i, _mm_andnot_ps(m, _mm_load_ss(g + i)));
+  }
+}
+
+// The pool works on 4 windows at a time: 8 floats of the top and of the
+// bottom input row, deinterleaved into the four tap vectors. A row of
+// wo >= 4 windows runs steps at ox = 0, 4, ... and, when 4 does not
+// divide wo, a last step at wo - 4 that redoes some windows with the
+// same result. A row of wo < 4 windows runs one step that reads and
+// writes past the row into the next ones, whose own steps then
+// overwrite those outputs; the last rows, whose step would leave the
+// tensor, run the per-window code.
+
+/// Compares tap vector v (tap index t) against the running maximum.
+/// Ordered compares are false on NaN, so a NaN best is never replaced
+/// and a NaN tap never wins — the reference's `if (v > best)`.
+inline void PoolTap(__m128 v, int t, __m128* best, __m128i* idx) {
+  const __m128 more = _mm_cmp_ps(v, *best, _CMP_GT_OQ);
+  *best = _mm_blendv_ps(*best, v, more);
+  *idx = _mm_blendv_epi8(*idx, _mm_set1_epi32(t), _mm_castps_si128(more));
+}
+
+/// Pools 4 windows: reads 8 floats from top and from bot, writes 4
+/// outputs and 4 tap bytes.
+inline void PoolStep(const float* top, const float* bot, float* out,
+                     uint8_t* tap) {
+  const __m128 tl = _mm_loadu_ps(top), th = _mm_loadu_ps(top + 4);
+  const __m128 bl = _mm_loadu_ps(bot), bh = _mm_loadu_ps(bot + 4);
+  __m128 best = _mm_shuffle_ps(tl, th, _MM_SHUFFLE(2, 0, 2, 0));
+  __m128i idx = _mm_setzero_si128();
+  PoolTap(_mm_shuffle_ps(tl, th, _MM_SHUFFLE(3, 1, 3, 1)), 1, &best, &idx);
+  PoolTap(_mm_shuffle_ps(bl, bh, _MM_SHUFFLE(2, 0, 2, 0)), 2, &best, &idx);
+  PoolTap(_mm_shuffle_ps(bl, bh, _MM_SHUFFLE(3, 1, 3, 1)), 3, &best, &idx);
+  _mm_storeu_ps(out, best);
+  const __m128i idx16 = _mm_packus_epi32(idx, idx);
+  const int bytes = _mm_cvtsi128_si32(_mm_packus_epi16(idx16, idx16));
+  std::memcpy(tap, &bytes, 4);
+}
+
+/// Unpools 4 windows: reads 4 gradients and 4 tap bytes, writes 8 floats
+/// of the top and of the bottom row — 0 + g at the tap (the reference's
+/// add into a zeroed dx), +0 at the other three.
+inline void UnpoolStep(const float* grad_out, const uint8_t* tap, float* top,
+                       float* bot) {
+  const __m128 g = _mm_add_ps(_mm_setzero_ps(), _mm_loadu_ps(grad_out));
+  int bytes;
+  std::memcpy(&bytes, tap, 4);
+  const __m128i idx = _mm_cvtepu8_epi32(_mm_cvtsi32_si128(bytes));
+  const auto at = [&](int t) {
+    return _mm_and_ps(
+        _mm_castsi128_ps(_mm_cmpeq_epi32(idx, _mm_set1_epi32(t))), g);
+  };
+  const __m128 v0 = at(0), v1 = at(1), v2 = at(2), v3 = at(3);
+  // Re-interleave: the top row is (v0, v1) pairs, the bottom (v2, v3).
+  _mm_storeu_ps(top, _mm_unpacklo_ps(v0, v1));
+  _mm_storeu_ps(top + 4, _mm_unpackhi_ps(v0, v1));
+  _mm_storeu_ps(bot, _mm_unpacklo_ps(v2, v3));
+  _mm_storeu_ps(bot + 4, _mm_unpackhi_ps(v2, v3));
+}
+
+/// Rows of a [rows, wo]-window pool that run 4-window steps: every row
+/// when wo >= 4; otherwise the rows whose step — 8 floats from the
+/// bottom row's start, 4 outputs from the row's first — stays inside
+/// the tensor.
+int64_t SteppedRows(int64_t rows, int64_t wo) {
+  if (wo >= 4) return rows;
+  const int64_t w = 2 * wo;
+  int64_t r = rows;
+  while (r > 0 && ((r - 1) * 2 * w + w + 8 > rows * 2 * w ||
+                   (r - 1) * wo + 4 > rows * wo)) {
+    --r;
+  }
+  return r;
+}
+
+void MaxPoolForward(const float* x, int64_t rows, int64_t wo, float* out,
+                    uint8_t* tap) {
+  const int64_t w = 2 * wo;
+  const int64_t stepped = SteppedRows(rows, wo);
+  for (int64_t r = 0; r < stepped; ++r) {
+    const float* top = x + r * 2 * w;
+    for (int64_t ox = 0; ox < wo; ox += 4) {
+      const int64_t o = wo >= 4 ? std::min(ox, wo - 4) : 0;
+      PoolStep(top + 2 * o, top + w + 2 * o, out + r * wo + o,
+               tap + r * wo + o);
+    }
+  }
+  const int64_t done = stepped * wo;
+  GenericKernels().maxpool2x2_fwd(x + done * 4, rows - stepped, wo,
+                                  out + done, tap + done);
+}
+
+void MaxPoolBackward(const float* grad_out, const uint8_t* tap, int64_t rows,
+                     int64_t wo, float* dx) {
+  const int64_t w = 2 * wo;
+  const int64_t stepped = SteppedRows(rows, wo);
+  for (int64_t r = 0; r < stepped; ++r) {
+    float* top = dx + r * 2 * w;
+    for (int64_t ox = 0; ox < wo; ox += 4) {
+      const int64_t o = wo >= 4 ? std::min(ox, wo - 4) : 0;
+      UnpoolStep(grad_out + r * wo + o, tap + r * wo + o, top + 2 * o,
+                 top + w + 2 * o);
+    }
+  }
+  const int64_t done = stepped * wo;
+  GenericKernels().maxpool2x2_bwd(grad_out + done, tap + done, rows - stepped,
+                                  wo, dx + done * 4);
+}
+
+void PlusZero(float* x, int64_t n) {
+  const __m256 zero = _mm256_setzero_ps();
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(x + i, _mm256_add_ps(zero, _mm256_loadu_ps(x + i)));
+  }
+  for (; i < n; ++i) x[i] = 0.0f + x[i];
+}
+
 }  // namespace
 
 const BlockedKernels* Avx2KernelsOrNull() {
@@ -213,6 +364,11 @@ const BlockedKernels* Avx2KernelsOrNull() {
       &GemmTransBBlockedT<Avx2Traits>,
       &ConvGemmT<Avx2Traits>,
       &ConvDwT<Avx2Traits>,
+      &Relu,
+      &ReluBackward,
+      &MaxPoolForward,
+      &MaxPoolBackward,
+      &PlusZero,
   };
   return &table;
 }

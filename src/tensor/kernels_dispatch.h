@@ -90,6 +90,19 @@ struct BlockedKernels {
   /// One ConvDwTile; tiles satisfy nv <= 2, rows <= 2, nx <= 6 and
   /// nv * rows * nx <= 12 (the register budget of the AVX2 tile).
   void (*conv_dw)(const ConvDwTile& tile);
+
+  /// The elementwise passes behind ReluKernel, ReluBackwardKernel,
+  /// MaxPool2x2ForwardKernel, MaxPool2x2BackwardKernel and
+  /// PlusZeroKernel (kernels.h states their contracts; docs/KERNELS.md
+  /// "Elementwise" the exact NaN, signed-zero and tie semantics every
+  /// table reproduces).
+  void (*relu)(const float* x, int64_t n, float* y);
+  void (*relu_backward)(const float* g, const float* x, int64_t n, float* dx);
+  void (*maxpool2x2_fwd)(const float* x, int64_t rows, int64_t wo, float* out,
+                         uint8_t* tap);
+  void (*maxpool2x2_bwd)(const float* grad_out, const uint8_t* tap,
+                         int64_t rows, int64_t wo, float* dx);
+  void (*plus_zero)(float* x, int64_t n);
 };
 
 /// The portable table (always available; soft-fma, compiled at the

@@ -7,6 +7,8 @@
 // baseline x86-64 (8 xmm worth) and matches the pre-SIMD kernels.
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "tensor/kernels_blocked.h"
 
@@ -93,6 +95,81 @@ struct GenericTraits {
   }
 };
 
+// Elementwise passes as bit masks from the reference's own comparisons:
+// the reference's data-dependent branches mispredict on sign-random
+// activations, and GCC keeps most `?:` on floats as branches. A
+// comparison yields an all-ones or all-zero mask; a cleared float is +0.
+
+inline uint32_t Bits(float v) {
+  uint32_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+inline float FromBits(uint32_t b) {
+  float v;
+  std::memcpy(&v, &b, sizeof v);
+  return v;
+}
+
+/// All ones when `cond`, else 0.
+inline uint32_t Mask(bool cond) { return 0u - static_cast<uint32_t>(cond); }
+
+void Relu(const float* x, int64_t n, float* y) {
+  // std::max(0.0f, x) = 0 < x ? x : 0.
+  for (int64_t i = 0; i < n; ++i) {
+    y[i] = FromBits(Bits(x[i]) & Mask(0.0f < x[i]));
+  }
+}
+
+void ReluBackward(const float* g, const float* x, int64_t n, float* dx) {
+  for (int64_t i = 0; i < n; ++i) {
+    dx[i] = FromBits(Bits(g[i]) & ~Mask(x[i] <= 0.0f));
+  }
+}
+
+void MaxPoolForward(const float* x, int64_t rows, int64_t wo, float* out,
+                    uint8_t* tap) {
+  const int64_t w = 2 * wo;
+  for (int64_t r = 0; r < rows; ++r, out += wo, tap += wo) {
+    const float* top = x + r * 2 * w;
+    for (int64_t ox = 0; ox < wo; ++ox) {
+      const float v[4] = {top[2 * ox], top[2 * ox + 1], top[w + 2 * ox],
+                          top[w + 2 * ox + 1]};
+      float best = v[0];
+      uint32_t k = 0;
+      for (uint32_t t = 1; t < 4; ++t) {
+        const uint32_t more = Mask(v[t] > best);
+        // `a > b ? a : b` is exactly maxss, which GCC emits for it.
+        best = v[t] > best ? v[t] : best;
+        k = (t & more) | (k & ~more);
+      }
+      out[ox] = best;
+      tap[ox] = static_cast<uint8_t>(k);
+    }
+  }
+}
+
+void MaxPoolBackward(const float* grad_out, const uint8_t* tap, int64_t rows,
+                     int64_t wo, float* dx) {
+  const int64_t w = 2 * wo;
+  for (int64_t r = 0; r < rows; ++r, grad_out += wo, tap += wo) {
+    float* top = dx + r * 2 * w;
+    for (int64_t ox = 0; ox < wo; ++ox) {
+      const uint32_t g = Bits(0.0f + grad_out[ox]);
+      const uint32_t k = tap[ox];
+      top[2 * ox] = FromBits(g & Mask(k == 0));
+      top[2 * ox + 1] = FromBits(g & Mask(k == 1));
+      top[w + 2 * ox] = FromBits(g & Mask(k == 2));
+      top[w + 2 * ox + 1] = FromBits(g & Mask(k == 3));
+    }
+  }
+}
+
+void PlusZero(float* x, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) x[i] = 0.0f + x[i];
+}
+
 }  // namespace
 
 const BlockedKernels& GenericKernels() {
@@ -105,6 +182,11 @@ const BlockedKernels& GenericKernels() {
       &GemmTransBBlockedT<GenericTraits>,
       &ConvGemmT<GenericTraits>,
       &ConvDwT<GenericTraits>,
+      &Relu,
+      &ReluBackward,
+      &MaxPoolForward,
+      &MaxPoolBackward,
+      &PlusZero,
   };
   return table;
 }

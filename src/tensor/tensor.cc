@@ -10,14 +10,22 @@ namespace rfed {
 namespace {
 
 // Pool-aware fill construction: an exact-size recycled buffer when a
-// BufferPool scope is active, a fresh heap vector otherwise. assign()
-// value-writes every element, so recycled content never leaks through.
+// BufferPool scope is active, a fresh heap vector otherwise. Every
+// element is written, so recycled content never leaks through. Zeros
+// come from value-initialization, which compiles to memset; the
+// general fill is an element loop at -O2.
 std::vector<float> FilledStorage(int64_t n, float value) {
+  const size_t count = static_cast<size_t>(n);
+  const bool zero = value == 0.0f && !std::signbit(value);
   if (!BufferPool::Active()) {
-    return std::vector<float>(static_cast<size_t>(n), value);
+    return zero ? std::vector<float>(count) : std::vector<float>(count, value);
   }
-  std::vector<float> buf = BufferPool::Acquire(static_cast<size_t>(n));
-  buf.assign(static_cast<size_t>(n), value);
+  std::vector<float> buf = BufferPool::Acquire(count);
+  if (zero) {
+    buf.resize(count);
+  } else {
+    buf.assign(count, value);
+  }
   return buf;
 }
 

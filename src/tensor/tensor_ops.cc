@@ -65,16 +65,14 @@ Tensor AddScalar(const Tensor& a, float s) {
 
 Tensor Relu(const Tensor& x) {
   Tensor out = x;
-  for (int64_t i = 0; i < out.size(); ++i) out.at(i) = std::max(0.0f, out.at(i));
+  ReluKernel(out.data(), out.size(), out.data());
   return out;
 }
 
 Tensor ReluBackward(const Tensor& grad, const Tensor& x) {
   CheckSameShape(grad, x);
   Tensor out = grad;
-  for (int64_t i = 0; i < out.size(); ++i) {
-    if (x.at(i) <= 0.0f) out.at(i) = 0.0f;
-  }
+  ReluBackwardKernel(out.data(), x.data(), out.size(), out.data());
   return out;
 }
 
@@ -199,27 +197,22 @@ Tensor LinearBiasReluForward(const Tensor& x, const Tensor& w,
   const int64_t m = x.dim(0), k = x.dim(1), n = w.dim(1);
   Tensor y(Shape{m, n});
   GemmAdd(x.data(), w.data(), m, k, n, y.data());
-  // Epilogue in the unfused chain's element order: add the bias, then
-  // clamp — float-identical to AddRowBroadcast followed by Relu.
+  // Epilogue in the unfused chain's order: add the bias, then clamp with
+  // the ReLU kernel — float-identical to AddRowBroadcast then Relu.
   for (int64_t r = 0; r < m; ++r) {
     float* row = y.data() + r * n;
-    for (int64_t c = 0; c < n; ++c) {
-      row[c] = std::max(0.0f, row[c] + bias.at(c));
-    }
+    for (int64_t c = 0; c < n; ++c) row[c] += bias.at(c);
   }
+  ReluKernel(y.data(), y.size(), y.data());
   return y;
 }
 
 void LinearBiasReluBackward(const Tensor& grad, const Tensor& y,
                             const Tensor& x, const Tensor& w, Tensor* dx,
                             Tensor* dw, Tensor* db) {
-  CheckSameShape(grad, y);
-  // Mask mirrors ReluBackward: y = max(0, pre) makes `y <= 0` the exact
-  // set of clamped elements.
-  Tensor g_pre = grad;
-  for (int64_t i = 0; i < g_pre.size(); ++i) {
-    if (y.at(i) <= 0.0f) g_pre.at(i) = 0.0f;
-  }
+  // ReluBackward masked by the output: y = max(0, pre) makes `y <= 0`
+  // the exact set of clamped elements.
+  Tensor g_pre = ReluBackward(grad, y);
   if (dx != nullptr) *dx = MatMulTransB(g_pre, w);
   if (dw != nullptr) *dw = MatMulTransA(x, g_pre);
   if (db != nullptr) *db = SumRows(g_pre);
@@ -312,48 +305,30 @@ void Conv2dBackward(const Tensor& grad_out, const Tensor& x, const Tensor& w,
                        db != nullptr ? db->data() : nullptr);
 }
 
-Tensor MaxPool2x2Forward(const Tensor& x, std::vector<int64_t>* argmax) {
+Tensor MaxPool2x2Forward(const Tensor& x, std::vector<uint8_t>* taps) {
   RFED_CHECK_EQ(x.rank(), 4);
   const int64_t batch = x.dim(0), ch = x.dim(1), h = x.dim(2), w = x.dim(3);
   RFED_CHECK_EQ(h % 2, 0);
   RFED_CHECK_EQ(w % 2, 0);
   const int64_t ho = h / 2, wo = w / 2;
   Tensor out(Shape{batch, ch, ho, wo});
-  argmax->assign(static_cast<size_t>(out.size()), 0);
-  int64_t oi = 0;
-  for (int64_t b = 0; b < batch; ++b) {
-    for (int64_t c = 0; c < ch; ++c) {
-      const float* plane = x.data() + (b * ch + c) * h * w;
-      const int64_t plane_off = (b * ch + c) * h * w;
-      for (int64_t oy = 0; oy < ho; ++oy) {
-        for (int64_t ox = 0; ox < wo; ++ox, ++oi) {
-          const int64_t y0 = 2 * oy, x0 = 2 * ox;
-          int64_t best = y0 * w + x0;
-          float best_v = plane[best];
-          const int64_t cand[3] = {y0 * w + x0 + 1, (y0 + 1) * w + x0,
-                                   (y0 + 1) * w + x0 + 1};
-          for (int64_t idx : cand) {
-            if (plane[idx] > best_v) {
-              best_v = plane[idx];
-              best = idx;
-            }
-          }
-          out.at(oi) = best_v;
-          (*argmax)[static_cast<size_t>(oi)] = plane_off + best;
-        }
-      }
-    }
-  }
+  taps->resize(static_cast<size_t>(out.size()));
+  MaxPool2x2ForwardKernel(x.data(), batch * ch * ho, wo, out.data(),
+                          taps->data());
   return out;
 }
 
 Tensor MaxPool2x2Backward(const Tensor& grad_out, const Shape& input_shape,
-                          const std::vector<int64_t>& argmax) {
-  RFED_CHECK_EQ(static_cast<int64_t>(argmax.size()), grad_out.size());
+                          const std::vector<uint8_t>& taps) {
+  RFED_CHECK_EQ(grad_out.rank(), 4);
+  const int64_t batch = grad_out.dim(0), ch = grad_out.dim(1);
+  const int64_t ho = grad_out.dim(2), wo = grad_out.dim(3);
+  RFED_CHECK(input_shape == Shape({batch, ch, 2 * ho, 2 * wo}))
+      << input_shape.ToString() << " vs " << grad_out.shape().ToString();
+  RFED_CHECK_EQ(static_cast<int64_t>(taps.size()), grad_out.size());
   Tensor dx(input_shape);
-  for (int64_t i = 0; i < grad_out.size(); ++i) {
-    dx.at(argmax[static_cast<size_t>(i)]) += grad_out.at(i);
-  }
+  MaxPool2x2BackwardKernel(grad_out.data(), taps.data(), batch * ch * ho, wo,
+                           dx.data());
   return dx;
 }
 

@@ -1,6 +1,7 @@
 #ifndef RFED_TENSOR_TENSOR_OPS_H_
 #define RFED_TENSOR_TENSOR_OPS_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -10,9 +11,9 @@ namespace rfed {
 // Raw numeric kernels over Tensors. These are pure functions (or write to
 // explicit outputs) with no knowledge of autograd; the autograd layer
 // composes them into differentiable ops. The hot paths (the three MatMul
-// variants and the convolution) delegate to the blocked kernel layer in
-// tensor/kernels.h — bit-identical to the naive loops for every block
-// size and thread count (see docs/KERNELS.md).
+// variants, the convolution, ReLU and the 2x2 max-pool) delegate to the
+// kernel layer in tensor/kernels.h — bit-identical to the naive loops
+// for every ISA, block size and thread count (see docs/KERNELS.md).
 
 // ---- Elementwise ----
 /// c = a + b (same shape).
@@ -26,9 +27,11 @@ Tensor Scale(const Tensor& a, float s);
 /// c = a + s elementwise.
 Tensor AddScalar(const Tensor& a, float s);
 
-/// max(x, 0) elementwise.
+/// max(x, 0) elementwise through ReluKernel (tensor/kernels.h): -0 and
+/// NaN map to +0, exactly as std::max(0.0f, x).
 Tensor Relu(const Tensor& x);
-/// dL/dx given upstream grad and forward input.
+/// dL/dx given upstream grad and forward input: grad where x > 0, +0
+/// where x <= 0. A NaN x passes its gradient (NaN <= 0 is false).
 Tensor ReluBackward(const Tensor& grad, const Tensor& x);
 /// tanh(x) elementwise.
 Tensor Tanh(const Tensor& x);
@@ -58,14 +61,15 @@ Tensor SumRows(const Tensor& x);
 /// Fused y = relu(x · w + bias) for x [m, k], w [k, n], bias [n]: one
 /// GEMM plus an in-place bias+relu epilogue, saving the two intermediate
 /// tensors of the MatMul/AddRowBroadcast/Relu chain. Bit-identical to
-/// that chain: the epilogue performs the same `+bias` then `max(·, 0)`
-/// per element, and GemmAdd is the same kernel MatMul dispatches to.
+/// that chain: the epilogue adds the bias per element, then runs the
+/// same ReluKernel as Relu, and GemmAdd is the kernel MatMul dispatches
+/// to.
 Tensor LinearBiasReluForward(const Tensor& x, const Tensor& w,
                              const Tensor& bias);
 /// Backward of the fused op. `y` is the forward *output* (y <= 0 marks
 /// exactly the elements the relu clamped, since y = max(0, pre)). The
-/// masked gradient g_pre = grad ⊙ 1[y > 0] feeds the same kernels the
-/// unfused chain uses: *dx = g_pre · wᵀ, *dw = xᵀ · g_pre,
+/// masked gradient g_pre = ReluBackward(grad, y) feeds the same kernels
+/// the unfused chain uses: *dx = g_pre · wᵀ, *dw = xᵀ · g_pre,
 /// *db = SumRows(g_pre). Null output pointers skip that gradient.
 void LinearBiasReluBackward(const Tensor& grad, const Tensor& y,
                             const Tensor& x, const Tensor& w, Tensor* dx,
@@ -103,11 +107,17 @@ void Conv2dBackward(const Tensor& grad_out, const Tensor& x, const Tensor& w,
                     const Conv2dSpec& spec, Tensor* dx, Tensor* dw,
                     Tensor* db);
 
-/// 2x2 max pooling with stride 2 over [B, C, H, W] (H, W even);
-/// records flat argmax indices for the backward pass.
-Tensor MaxPool2x2Forward(const Tensor& x, std::vector<int64_t>* argmax);
+/// 2x2 max pooling with stride 2 over [B, C, H, W] (H, W even) through
+/// MaxPool2x2ForwardKernel. taps[o] receives the winning tap of output
+/// o's window: 0 = (top, left), 1 = (top, right), 2 = (bottom, left),
+/// 3 = (bottom, right). Taps are compared in that order with a strict
+/// `>`, so ties keep the first tap, and a NaN wins only at tap 0.
+Tensor MaxPool2x2Forward(const Tensor& x, std::vector<uint8_t>* taps);
+/// dx of shape `input_shape` = [B, C, 2*Ho, 2*Wo]: 0.0f + grad_out[o] at
+/// the winning tap of window o (a -0 gradient lands as +0) and +0 at
+/// the window's other three taps.
 Tensor MaxPool2x2Backward(const Tensor& grad_out, const Shape& input_shape,
-                          const std::vector<int64_t>& argmax);
+                          const std::vector<uint8_t>& taps);
 
 // ---- Indexing ----
 /// rows: out[i, :] = table[ids[i], :], table [V, D] -> [n, D].

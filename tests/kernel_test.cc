@@ -11,6 +11,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -530,6 +531,260 @@ TEST_F(KernelTest, GradCheckThroughBlockedConvPath) {
   Variable b = Leaf(Tensor::Normal(Shape{3}, 0, 0.5f, &rng));
   auto loss = [&] { return ag::Sum(ag::Tanh(ag::Conv2d(x, w, b, spec))); };
   EXPECT_LT(MaxGradCheckError(loss, {&x, &w, &b}, 5e-3), 0.1);
+}
+
+// ---- Elementwise: ReLU, max-pool, plus-zero ----
+
+float BitsToFloat(uint32_t bits) {
+  float v;
+  std::memcpy(&v, &bits, sizeof v);
+  return v;
+}
+
+uint32_t FloatBits(float v) {
+  uint32_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+/// The values the elementwise kernels must treat exactly as the
+/// references do: quiet NaNs with payloads of both signs, signed zeros,
+/// infinities, denormals of both signs, the extremes of the normal
+/// range, and values a rounding away from zero.
+std::vector<float> EdgeValues() {
+  return {BitsToFloat(0x7fc00001u),  BitsToFloat(0xffc12345u),
+          BitsToFloat(0x7fffffffu),  0.0f,
+          -0.0f,                     std::numeric_limits<float>::infinity(),
+          -std::numeric_limits<float>::infinity(),
+          std::numeric_limits<float>::denorm_min(),
+          -std::numeric_limits<float>::denorm_min(),
+          BitsToFloat(0x007fffffu),  BitsToFloat(0x807fffffu),
+          std::numeric_limits<float>::max(),
+          -std::numeric_limits<float>::max(),
+          std::numeric_limits<float>::min(),
+          -std::numeric_limits<float>::min(),
+          1.0f,                      -1.0f};
+}
+
+/// n sign-random values with every edge value spliced in at a stride
+/// that walks them across all SIMD lane positions.
+std::vector<float> ElementwiseInput(int64_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> v(static_cast<size_t>(n));
+  for (float& e : v) e = static_cast<float>(rng.Normal(0.0, 1.0));
+  const std::vector<float> edge = EdgeValues();
+  for (int64_t i = 0, k = 0; i < n; i += 3, ++k) {
+    v[static_cast<size_t>(i)] = edge[static_cast<size_t>(k) % edge.size()];
+  }
+  return v;
+}
+
+bool SameBits(const float* a, const float* b, int64_t n) {
+  return std::memcmp(a, b, static_cast<size_t>(n) * sizeof(float)) == 0;
+}
+
+// Lengths around the 8- and 32-float vector steps plus the workload's
+// conv1 ReLU (24 x 4 x 12 x 12) and a length past the evaluation batch's
+// (150 x 4 x 12 x 12) that ends on a scalar tail.
+constexpr int64_t kElementwiseSizes[] = {1, 7, 8, 9, 13824, 86403};
+constexpr int64_t kUnalignedStarts[] = {0, 1, 3};
+
+TEST_F(KernelTest, ReluForwardAndBackwardMatchReferenceBitwise) {
+  for (int64_t n : kElementwiseSizes) {
+    for (int64_t start : kUnalignedStarts) {
+      const std::vector<float> xbuf = ElementwiseInput(n + start, 31);
+      const std::vector<float> gbuf = ElementwiseInput(n + start, 32);
+      const float* x = xbuf.data() + start;
+      const float* g = gbuf.data() + start;
+      std::vector<float> y_ref(static_cast<size_t>(n));
+      std::vector<float> dx_ref(static_cast<size_t>(n));
+      ref::Relu(x, n, y_ref.data());
+      ref::ReluBackward(g, x, n, dx_ref.data());
+      for (KernelIsa isa : TestableIsas()) {
+        KernelOptions o;
+        o.isa = isa;
+        SetKernelOptions(o);
+        const std::string name = std::string("isa=") + KernelIsaName(isa) +
+                                 " n=" + std::to_string(n) +
+                                 " start=" + std::to_string(start);
+        std::vector<float> out(static_cast<size_t>(n + start), 7.0f);
+        ReluKernel(x, n, out.data() + start);
+        EXPECT_TRUE(SameBits(y_ref.data(), out.data() + start, n))
+            << "relu " << name;
+        // In place, as Relu runs it on its output copy.
+        std::vector<float> inplace = xbuf;
+        ReluKernel(inplace.data() + start, n, inplace.data() + start);
+        EXPECT_TRUE(SameBits(y_ref.data(), inplace.data() + start, n))
+            << "relu in place " << name;
+        ReluBackwardKernel(g, x, n, out.data() + start);
+        EXPECT_TRUE(SameBits(dx_ref.data(), out.data() + start, n))
+            << "relu_backward " << name;
+        inplace = gbuf;
+        ReluBackwardKernel(inplace.data() + start, x, n,
+                           inplace.data() + start);
+        EXPECT_TRUE(SameBits(dx_ref.data(), inplace.data() + start, n))
+            << "relu_backward in place " << name;
+      }
+    }
+  }
+}
+
+TEST_F(KernelTest, PlusZeroMatchesReferenceBitwise) {
+  for (int64_t n : kElementwiseSizes) {
+    for (int64_t start : kUnalignedStarts) {
+      const std::vector<float> in = ElementwiseInput(n + start, 33);
+      std::vector<float> want = in;
+      ref::PlusZero(want.data() + start, n);
+      for (KernelIsa isa : TestableIsas()) {
+        KernelOptions o;
+        o.isa = isa;
+        SetKernelOptions(o);
+        std::vector<float> got = in;
+        PlusZeroKernel(got.data() + start, n);
+        EXPECT_TRUE(SameBits(want.data(), got.data(), n + start))
+            << "isa=" << KernelIsaName(isa) << " n=" << n
+            << " start=" << start;
+      }
+    }
+  }
+}
+
+/// A pool input whose windows cycle through the cases the tap order
+/// decides: four equal taps, +0/-0 ties both ways round, a NaN in each
+/// tap position (alone, and against a larger value), two NaNs, infinite
+/// and denormal windows, equal maxima in two taps — and sign-random
+/// windows with edge values between them.
+std::vector<float> PoolInput(int64_t rows, int64_t wo, uint64_t seed) {
+  const int64_t w = 2 * wo;
+  std::vector<float> x = ElementwiseInput(rows * 2 * w, seed);
+  const float nan = BitsToFloat(0x7fc00abcu);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float den = std::numeric_limits<float>::denorm_min();
+  const std::vector<std::vector<float>> windows = {
+      {1.5f, 1.5f, 1.5f, 1.5f},  {0.0f, -0.0f, 0.0f, -0.0f},
+      {-0.0f, 0.0f, -0.0f, 0.0f}, {nan, 1.0f, 2.0f, 3.0f},
+      {1.0f, nan, 2.0f, 3.0f},   {1.0f, 2.0f, nan, 3.0f},
+      {1.0f, 2.0f, 3.0f, nan},   {3.0f, nan, nan, 5.0f},
+      {-inf, -inf, inf, inf},    {den, -den, 0.0f, den},
+      {-2.0f, 4.0f, -1.0f, 4.0f}, {-3.0f, -1.0f, -1.0f, -2.0f},
+  };
+  // Every other window gets a case, so each case lands in every SIMD lane
+  // and at row ends (wo = 3, 6) as the window index advances.
+  for (int64_t o = 0, k = 0; o < rows * wo; o += 2, ++k) {
+    const std::vector<float>& v = windows[static_cast<size_t>(k) % windows.size()];
+    float* top = x.data() + (o / wo) * 2 * w + 2 * (o % wo);
+    top[0] = v[0];
+    top[1] = v[1];
+    top[w] = v[2];
+    top[w + 1] = v[3];
+  }
+  return x;
+}
+
+TEST_F(KernelTest, MaxPoolForwardAndBackwardMatchReferenceBitwise) {
+  struct PoolShape {
+    int64_t batch, channels, h, w;
+  };
+  // The workload's two pools at the local-step batch, conv1's at the
+  // evaluation batch, then row widths wo = 1, 2, 4, 5, 8 (each step and
+  // tail path) and single-row tensors.
+  const PoolShape shapes[] = {{24, 4, 12, 12}, {24, 8, 6, 6}, {150, 4, 12, 12},
+                              {3, 2, 4, 2},    {2, 3, 2, 4},  {1, 2, 6, 8},
+                              {2, 1, 4, 10},   {1, 3, 2, 16}, {1, 1, 2, 6},
+                              {1, 1, 2, 2}};
+  for (const PoolShape& ps : shapes) {
+    const int64_t rows = ps.batch * ps.channels * ps.h / 2, wo = ps.w / 2;
+    const int64_t windows = rows * wo, n = windows * 4;
+    for (int64_t start : {int64_t{0}, int64_t{1}}) {
+      std::vector<float> xbuf(static_cast<size_t>(start), 0.0f);
+      const std::vector<float> body = PoolInput(rows, wo, 41);
+      xbuf.insert(xbuf.end(), body.begin(), body.end());
+      const float* x = xbuf.data() + start;
+      std::vector<float> grad = ElementwiseInput(windows, 42);
+      std::vector<float> out_ref(static_cast<size_t>(windows));
+      std::vector<uint8_t> tap_ref(static_cast<size_t>(windows));
+      ref::MaxPool2x2Forward(x, rows, wo, out_ref.data(), tap_ref.data());
+      std::vector<float> dx_ref(static_cast<size_t>(n));
+      ref::MaxPool2x2Backward(grad.data(), tap_ref.data(), rows, wo,
+                              dx_ref.data());
+      for (KernelIsa isa : TestableIsas()) {
+        KernelOptions o;
+        o.isa = isa;
+        SetKernelOptions(o);
+        const std::string name =
+            std::string("isa=") + KernelIsaName(isa) +
+            " shape=" + std::to_string(ps.batch) + "x" +
+            std::to_string(ps.channels) + "x" + std::to_string(ps.h) + "x" +
+            std::to_string(ps.w) + " start=" + std::to_string(start);
+        std::vector<float> out(static_cast<size_t>(windows), 9.0f);
+        std::vector<uint8_t> tap(static_cast<size_t>(windows), 0xff);
+        MaxPool2x2ForwardKernel(x, rows, wo, out.data(), tap.data());
+        EXPECT_TRUE(SameBits(out_ref.data(), out.data(), windows))
+            << "pool forward " << name;
+        EXPECT_EQ(tap_ref, tap) << "pool taps " << name;
+        // dx starts as garbage: the kernel must write every element.
+        std::vector<float> dx(static_cast<size_t>(n),
+                              BitsToFloat(0x7f800001u));
+        MaxPool2x2BackwardKernel(grad.data(), tap_ref.data(), rows, wo,
+                                 dx.data());
+        EXPECT_TRUE(SameBits(dx_ref.data(), dx.data(), n))
+            << "pool backward " << name;
+      }
+    }
+  }
+}
+
+TEST_F(KernelTest, ElementwiseEdgeSemanticsArePinned) {
+  // The references' semantics, spelled out (docs/KERNELS.md
+  // "Elementwise"); every ISA table must land on them.
+  const float nan = BitsToFloat(0x7fc00abcu);
+  for (KernelIsa isa : TestableIsas()) {
+    KernelOptions o;
+    o.isa = isa;
+    SetKernelOptions(o);
+    SCOPED_TRACE(KernelIsaName(isa));
+    const float x[4] = {-0.0f, nan, -2.0f, 3.0f};
+    float y[4];
+    ReluKernel(x, 4, y);
+    EXPECT_EQ(FloatBits(y[0]), 0u);  // -0 -> +0
+    EXPECT_EQ(FloatBits(y[1]), 0u);  // NaN -> +0
+    EXPECT_EQ(FloatBits(y[2]), 0u);
+    EXPECT_EQ(y[3], 3.0f);
+    const float g[4] = {5.0f, 6.0f, 7.0f, -0.0f};
+    float dx[4];
+    ReluBackwardKernel(g, x, 4, dx);
+    EXPECT_EQ(FloatBits(dx[0]), 0u);  // x = -0 <= 0 masks
+    EXPECT_EQ(dx[1], 6.0f);           // NaN x passes its gradient
+    EXPECT_EQ(FloatBits(dx[2]), 0u);
+    EXPECT_EQ(FloatBits(dx[3]), FloatBits(-0.0f));  // passed through as is
+
+    // One row of three windows: a tie keeps the first tap, a NaN at tap 0
+    // wins, a NaN later never does.
+    const float px[12] = {2.0f, 2.0f, nan, 1.0f, 1.0f, nan,    // top row
+                          2.0f, 1.0f, 5.0f, 6.0f, 4.0f, 0.0f};  // bottom row
+    float out[3];
+    uint8_t tap[3];
+    MaxPool2x2ForwardKernel(px, 1, 3, out, tap);
+    EXPECT_EQ(out[0], 2.0f);
+    EXPECT_EQ(tap[0], 0);
+    EXPECT_EQ(FloatBits(out[1]), FloatBits(nan));
+    EXPECT_EQ(tap[1], 0);
+    EXPECT_EQ(out[2], 4.0f);
+    EXPECT_EQ(tap[2], 2);
+    const float pg[3] = {-0.0f, 1.5f, -2.5f};
+    float pdx[12];
+    MaxPool2x2BackwardKernel(pg, tap, 1, 3, pdx);
+    for (int i = 0; i < 12; ++i) {
+      const float want = i == 2 ? 1.5f : i == 10 ? -2.5f : 0.0f;
+      EXPECT_EQ(FloatBits(pdx[i]), FloatBits(want)) << "dx " << i;  // -0 g -> +0
+    }
+
+    float z[3] = {-0.0f, 0.0f, -1.0f};
+    PlusZeroKernel(z, 3);
+    EXPECT_EQ(FloatBits(z[0]), 0u);
+    EXPECT_EQ(FloatBits(z[1]), 0u);
+    EXPECT_EQ(z[2], -1.0f);
+  }
 }
 
 // ---- Scratch arena ----

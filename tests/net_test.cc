@@ -529,6 +529,42 @@ TEST(FaultProxyTest, KillPlanSeversBothSidesAtTheScheduledFrame) {
   EXPECT_EQ(proxy.killed_connections(), 1);
 }
 
+TEST(FaultProxyTest, KillPlanForwardsOnlyUpToTheTriggerFrame) {
+  // The trigger frame and the frame behind it reach the proxy in one
+  // write: the server must see the trigger, then EOF — never the second
+  // frame — and the client must get no reply sent after the trigger.
+  net::TcpListener upstream("127.0.0.1", 0);
+  net::FaultProxy proxy("127.0.0.1", upstream.bound_port());
+  net::FaultPlan plan;
+  plan.kill_after_frames = 1;
+  proxy.SetPlan(0, plan);
+
+  net::TcpConnection client =
+      net::TcpConnection::Connect("127.0.0.1", proxy.listen_port());
+  ASSERT_TRUE(client.valid());
+  net::TcpConnection server = upstream.Accept();
+  ASSERT_TRUE(server.valid());
+
+  std::vector<uint8_t> both = net::EncodeFrame(FrameType::kResult,
+                                               TestPayload(48));
+  const std::vector<uint8_t> second =
+      net::EncodeFrame(FrameType::kPong, TestPayload(16));
+  both.insert(both.end(), second.begin(), second.end());
+  ASSERT_TRUE(client.SendAll(both.data(), both.size()));
+
+  net::FrameAssembler up_assembler;
+  Frame frame;
+  ASSERT_TRUE(net::RecvFrame(&server, &up_assembler, &frame));
+  EXPECT_EQ(frame.type, FrameType::kResult);
+  EXPECT_EQ(frame.payload, TestPayload(48));
+  // The server answers the trigger; the reply must not be relayed.
+  net::SendFrame(&server, FrameType::kJob, TestPayload(32));
+  EXPECT_FALSE(net::RecvFrame(&server, &up_assembler, &frame));
+  net::FrameAssembler down_assembler;
+  EXPECT_FALSE(net::RecvFrame(&client, &down_assembler, &frame));
+  EXPECT_EQ(proxy.killed_connections(), 1);
+}
+
 TEST(FaultProxyTest, BlackholePlanStallsTrafficWithoutEof) {
   net::TcpListener upstream("127.0.0.1", 0);
   net::FaultProxy proxy("127.0.0.1", upstream.bound_port());

@@ -244,10 +244,13 @@ std::map<std::string, int64_t> SpanCounts(int num_threads,
 
 TEST_F(ObsTest, SpanCountsInvariantAcrossThreadCounts) {
   const auto serial = SpanCounts(1, 1);
-  // The serial run covers every span kind the round loop emits.
+  // The serial run covers every span kind the round loop emits, and the
+  // CNN's elementwise kernel spans, whose counts must not depend on the
+  // thread counts either.
   for (const char* name :
        {"round", "select", "broadcast", "local_train", "upload", "aggregate",
-        "evaluate", "mmd_penalty", "map_broadcast", "map_sync", "backward"}) {
+        "evaluate", "mmd_penalty", "map_broadcast", "map_sync", "backward",
+        "relu", "relu_backward", "maxpool2x2_fwd", "maxpool2x2_bwd"}) {
     EXPECT_GT(serial.count(name), 0u) << name;
   }
   EXPECT_GE(serial.size(), 6u);

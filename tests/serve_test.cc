@@ -17,6 +17,7 @@
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -833,6 +834,83 @@ TEST(ServeFault, KilledWorkerRejoinsAndRunMatchesOracle) {
   SaveTensorToFile(oracle.algorithm->global_state(), oracle_model);
   SaveTensorToFile(server_side.algorithm->global_state(), serve_model);
   ExpectFilesIdentical(serve_model, oracle_model);
+}
+
+// Regression for the rejoin race: the old connection of a rejoining
+// worker still holds a few hundred KiB of PONGs ahead of its EOF when the
+// rejoin is accepted — several reads' worth. The server must drain them
+// to the EOF, see the death, and accept the rejoin instead of aborting
+// with "connected twice".
+TEST(ServeFault, RejoinDrainsTheOldConnectionToEof) {
+  const std::vector<std::string> flags = TinyScenarioFlags("FedAvg", 1);
+  serve::Scenario server_side = BuildFromArgs(flags);
+  serve::Scenario worker_side = BuildFromArgs(flags);
+  std::vector<uint8_t> state_blob;
+  server_side.algorithm->SaveRunState(&state_blob);
+
+  net::TcpListener listener("127.0.0.1", 0);
+  // Room in the accepted socket (inherited from the listener) and in the
+  // old worker's send buffer for the whole PONG backlog, so it is all
+  // written before the server reads any of it.
+  const int buffer_bytes = 1 << 20;
+  ASSERT_EQ(0, ::setsockopt(listener.fd(), SOL_SOCKET, SO_RCVBUF,
+                            &buffer_bytes, sizeof(buffer_bytes)));
+  const int port = listener.bound_port();
+
+  std::atomic<bool> flooded{false}, release{false};
+  std::thread old_worker([&] {
+    net::TcpConnection conn = net::TcpConnection::Connect("127.0.0.1", port);
+    ASSERT_TRUE(conn.valid());
+    ASSERT_EQ(0, ::setsockopt(conn.fd(), SOL_SOCKET, SO_SNDBUF,
+                              &buffer_bytes, sizeof(buffer_bytes)));
+    serve::HelloMessage hello;
+    hello.worker_id = 0;
+    hello.num_workers = 1;
+    hello.fingerprint = server_side.fingerprint;
+    net::SendFrame(&conn, net::FrameType::kHello, hello.Encode());
+    net::FrameAssembler assembler;
+    net::Frame frame;
+    ASSERT_TRUE(net::RecvFrame(&conn, &assembler, &frame));  // HELLO_ACK
+    std::vector<uint8_t> backlog;
+    serve::PingMessage pong;
+    while (backlog.size() < 300 * 1024) {
+      pong.seq += 1;
+      const std::vector<uint8_t> wire =
+          net::EncodeFrame(net::FrameType::kPong, pong.Encode());
+      backlog.insert(backlog.end(), wire.begin(), wire.end());
+    }
+    ASSERT_TRUE(conn.SendAll(backlog.data(), backlog.size()));
+    // EOF behind the backlog; the read side stays open, so JOBs sent to
+    // the dead slot are absorbed instead of failing the server's sender.
+    ::shutdown(conn.fd(), SHUT_WR);
+    flooded.store(true);
+    while (!release.load()) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  });
+
+  serve::ExecutorOptions eo;
+  eo.max_worker_restarts = 1;
+  serve::RemoteExecutor executor(eo);
+  executor.AcceptWorkers(&listener, /*num_workers=*/1,
+                         server_side.fingerprint, state_blob);
+  while (!flooded.load()) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  // The rejoin is queued on the listener before the server's first
+  // event-loop pass, which therefore sees both at once.
+  net::TcpConnection rejoin = net::TcpConnection::Connect("127.0.0.1", port);
+  ASSERT_TRUE(rejoin.valid());
+  std::thread new_worker([&] {
+    EXPECT_TRUE(serve::RunWorkerLoop(worker_side.algorithm.get(), &rejoin,
+                                     /*worker_id=*/0, /*num_workers=*/1,
+                                     worker_side.fingerprint,
+                                     /*rejoin_round=*/0)
+                    .clean_shutdown);
+  });
+  server_side.algorithm->set_train_executor(&executor);
+  server_side.algorithm->RunRound(0);
+  executor.Shutdown();
+  new_worker.join();
+  release.store(true);
+  old_worker.join();
+  EXPECT_EQ(executor.stats().worker_restarts, 1);
 }
 
 // Regression for the Shutdown/sender teardown race: a sender thread

@@ -10,6 +10,8 @@
 // buffers that outlive their scope or double-recycles trip the
 // sanitizers immediately.
 
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -260,6 +262,74 @@ TEST(TapeTest, AllocsPerStepReachZeroAfterWarmup) {
   EXPECT_EQ(session.rebuilds(), 1);
   EXPECT_EQ(session.reuse_hits(), 5);
   EXPECT_GT(allocs[0], 0);  // recording pays the allocations once
+  for (size_t step = 2; step < allocs.size(); ++step) {
+    EXPECT_EQ(allocs[step], 0) << "replayed step " << step << " allocated";
+  }
+}
+
+uint32_t Bits(float v) {
+  uint32_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+TEST(TapeTest, AdoptedFirstGradientTurnsNegativeZeroPositive) {
+  // A node's first gradient is adopted rather than added into a zeroed
+  // buffer; adoption applies 0 + g, so the bits are what the add gave.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const Tensor g(Shape{4}, {-0.0f, 0.0f, -1.5f, nan});
+  GraphNode added(Tensor(Shape{4}), /*requires_grad=*/true);
+  added.AccumulateGrad(g);
+  GraphNode adopted(Tensor(Shape{4}), /*requires_grad=*/true);
+  adopted.AccumulateGrad(Tensor(g));
+  for (int64_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(Bits(adopted.grad().at(i)), Bits(added.grad().at(i))) << i;
+  }
+  EXPECT_EQ(Bits(adopted.grad().at(0)), 0u);
+  // Later gradients add as before.
+  adopted.AccumulateGrad(Tensor(Shape{4}, 1.0f));
+  EXPECT_EQ(adopted.grad().at(2), -0.5f);
+
+  // Through an op: d/dx sum(x * k) = k, and k's -0 lands as +0.
+  Variable x = Leaf(Tensor(Shape{2}, {3.0f, 4.0f}));
+  ag::Sum(ag::MulConst(x, Tensor(Shape{2}, {-0.0f, 2.0f}))).Backward();
+  EXPECT_EQ(Bits(x.grad().at(0)), 0u);
+  EXPECT_EQ(x.grad().at(1), 2.0f);
+}
+
+TEST(TapeTest, CnnAllocsPerStepReachZeroAfterWarmup) {
+  // The CNN's ops — conv, ReLU, max-pool taps, the fused linear layer —
+  // and adopted first gradients keep the replayed step allocation-free.
+  Rng rng(809);
+  CnnConfig mc;
+  mc.conv1_channels = 2;
+  mc.conv2_channels = 4;
+  mc.feature_dim = 8;
+  auto model = std::make_unique<CnnModel>(mc, &rng);
+  Batch batch;
+  batch.images = Tensor::Normal(Shape{4, 1, 12, 12}, 0, 1, &rng);
+  batch.labels = {1, 3, 5, 7};
+
+  ag::TapeSession session({/*static_graph=*/true, /*checkpoint=*/false});
+  std::vector<int64_t> allocs;
+  for (int step = 0; step < 6; ++step) {
+    const int64_t before = BufferPool::ThreadAllocCount();
+    ag::ReplayBindings bind{&batch.images, &batch.tokens, &batch.labels};
+    Variable loss;
+    if (session.CanReplay(bind)) {
+      loss = session.Replay(bind);
+    } else {
+      session.BeginRecord(bind);
+      ModelOutput out = model->Forward(batch);
+      loss = CrossEntropyLoss(out.logits, batch.labels);
+      session.EndRecord(loss);
+    }
+    model->ZeroGrad();
+    loss.Backward();
+    allocs.push_back(BufferPool::ThreadAllocCount() - before);
+  }
+  EXPECT_EQ(session.reuse_hits(), 5);
+  EXPECT_GT(allocs[0], 0);
   for (size_t step = 2; step < allocs.size(); ++step) {
     EXPECT_EQ(allocs[step], 0) << "replayed step " << step << " allocated";
   }

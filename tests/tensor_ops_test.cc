@@ -211,7 +211,7 @@ TEST(Conv2dTest, BackwardMatchesFiniteDifferences) {
 
 TEST(MaxPoolTest, ForwardSelectsMax) {
   Tensor x(Shape{1, 1, 2, 2}, {1, 5, 3, 2});
-  std::vector<int64_t> argmax;
+  std::vector<uint8_t> argmax;
   Tensor y = MaxPool2x2Forward(x, &argmax);
   EXPECT_EQ(y.shape(), Shape({1, 1, 1, 1}));
   EXPECT_EQ(y.at(0), 5.0f);
@@ -220,7 +220,7 @@ TEST(MaxPoolTest, ForwardSelectsMax) {
 
 TEST(MaxPoolTest, BackwardRoutesToArgmax) {
   Tensor x(Shape{1, 1, 2, 2}, {1, 5, 3, 2});
-  std::vector<int64_t> argmax;
+  std::vector<uint8_t> argmax;
   Tensor y = MaxPool2x2Forward(x, &argmax);
   Tensor grad_out(Shape{1, 1, 1, 1}, {2.5f});
   Tensor dx = MaxPool2x2Backward(grad_out, x.shape(), argmax);
