@@ -91,6 +91,15 @@ std::vector<float> Noise(int64_t n, uint64_t seed) {
   return v;
 }
 
+/// Elementwise cases cycle through this many independently drawn
+/// inputs, one per call. Their references branch on the data (ReLU's
+/// sign, the pool's window maximum); timed on one repeated input, the
+/// branch predictor would learn its pattern, which training — where no
+/// activation repeats — never allows. The GEMM and conv references'
+/// only data-dependent branch is the zero skip, which the zero-free
+/// Fill inputs never take, so they keep one input.
+constexpr int kInputRotation = 8;
+
 enum class Kind {
   kGemmAdd, kGemmTransA, kGemmTransB, kConvFwd, kConvBwd,
   // Elementwise over an NCHW activation (the Case's conv field holds its
@@ -255,7 +264,11 @@ double Rate(const Case& c, double ms) {
 /// One benchmark case's buffers plus ref/opt runners over them.
 struct Workbench {
   std::vector<float> a, b, bias, out_ref, out_opt, dx, dw, db;
-  std::vector<uint8_t> taps;
+  // Elementwise cases: kInputRotation inputs x, upstream gradients g and
+  // pool taps, and the rotation slot the next Run uses.
+  std::vector<std::vector<float>> xs, gs;
+  std::vector<std::vector<uint8_t>> tapsets;
+  int turn = 0;
 
   explicit Workbench(const Case& c) {
     switch (c.kind) {
@@ -294,24 +307,32 @@ struct Workbench {
       }
       case Kind::kReluFwd:
       case Kind::kReluBwd: {
-        // a = the forward input x, b = the upstream gradient.
+        // xs = forward inputs x, gs = upstream gradients.
         const int64_t n = ActivationSize(c);
-        a = Noise(n, 11);
-        b = Noise(n, 12);
+        for (int r = 0; r < kInputRotation; ++r) {
+          const uint64_t seed = 11 + 2 * static_cast<uint64_t>(r);
+          xs.push_back(Noise(n, seed));
+          gs.push_back(Noise(n, seed + 1));
+        }
         out_ref.assign(static_cast<size_t>(n), 0.0f);
         break;
       }
       case Kind::kPoolFwd:
       case Kind::kPoolBwd: {
-        // Forward: a = x, out = pooled. Backward: b = grad_out, out = dx,
-        // with the taps of a reference forward over a.
+        // Forward: xs = x, out = pooled, tapsets written. Backward: gs =
+        // grad_out, out = dx, with the taps of a reference forward over
+        // the same slot's x.
         const int64_t n = ActivationSize(c);
-        a = Noise(n, 13);
-        b = Noise(n / 4, 14);
-        taps.assign(static_cast<size_t>(n / 4), 0);
         std::vector<float> pooled(static_cast<size_t>(n / 4));
-        ref::MaxPool2x2Forward(a.data(), PoolRows(c), c.conv.width / 2,
-                               pooled.data(), taps.data());
+        for (int r = 0; r < kInputRotation; ++r) {
+          const uint64_t seed = 13 + 2 * static_cast<uint64_t>(r);
+          xs.push_back(Noise(n, seed));
+          gs.push_back(Noise(n / 4, seed + 1));
+          tapsets.emplace_back(static_cast<size_t>(n / 4), 0);
+          ref::MaxPool2x2Forward(xs.back().data(), PoolRows(c),
+                                 c.conv.width / 2, pooled.data(),
+                                 tapsets.back().data());
+        }
         out_ref.assign(static_cast<size_t>(c.kind == Kind::kPoolFwd ? n / 4 : n),
                        0.0f);
         break;
@@ -327,9 +348,11 @@ struct Workbench {
   /// Runs the case once; `optimized` picks the blocked vs ref kernel.
   /// Accumulating kinds re-run on the same output (fine for timing: the
   /// float work is identical each pass); bitwise comparison below resets
-  /// the buffers itself.
+  /// the buffers itself. Elementwise cases take the next rotation slot.
   void Run(const Case& c, bool optimized) {
     float* out = optimized ? out_opt.data() : out_ref.data();
+    const size_t slot = static_cast<size_t>(turn);
+    turn = (turn + 1) % kInputRotation;
     switch (c.kind) {
       case Kind::kGemmAdd:
         (optimized ? GemmAdd : ref::GemmAdd)(a.data(), b.data(), c.m, c.k, c.n,
@@ -357,21 +380,24 @@ struct Workbench {
             db.data());
         break;
       case Kind::kReluFwd:
-        (optimized ? ReluKernel : ref::Relu)(a.data(), ActivationSize(c), out);
+        (optimized ? ReluKernel : ref::Relu)(xs[slot].data(),
+                                             ActivationSize(c), out);
         break;
       case Kind::kReluBwd:
         (optimized ? ReluBackwardKernel : ref::ReluBackward)(
-            b.data(), a.data(), ActivationSize(c), out);
+            gs[slot].data(), xs[slot].data(), ActivationSize(c), out);
         break;
       case Kind::kPoolFwd:
         // Both write every tap; the reference's taps equal the ones the
-        // constructor recorded, so the backward cases are unaffected.
+        // constructor recorded for this slot.
         (optimized ? MaxPool2x2ForwardKernel : ref::MaxPool2x2Forward)(
-            a.data(), PoolRows(c), c.conv.width / 2, out, taps.data());
+            xs[slot].data(), PoolRows(c), c.conv.width / 2, out,
+            tapsets[slot].data());
         break;
       case Kind::kPoolBwd:
         (optimized ? MaxPool2x2BackwardKernel : ref::MaxPool2x2Backward)(
-            b.data(), taps.data(), PoolRows(c), c.conv.width / 2, out);
+            gs[slot].data(), tapsets[slot].data(), PoolRows(c),
+            c.conv.width / 2, out);
         break;
     }
   }
@@ -386,14 +412,25 @@ struct Workbench {
       Run(c, /*optimized=*/true);
       return rdx == dx && rdw == dw && rdb == db;
     }
-    std::fill(out_ref.begin(), out_ref.end(), 0.0f);
-    std::fill(out_opt.begin(), out_opt.end(), 0.0f);
-    Run(c, /*optimized=*/false);
-    const std::vector<uint8_t> ref_taps = taps;
-    Run(c, /*optimized=*/true);
-    return std::memcmp(out_ref.data(), out_opt.data(),
-                       out_ref.size() * sizeof(float)) == 0 &&
-           taps == ref_taps;
+    // Every rotation slot, ref then opt on the same slot.
+    bool same = true;
+    for (int slot = 0; slot < (IsElementwise(c.kind) ? kInputRotation : 1);
+         ++slot) {
+      std::fill(out_ref.begin(), out_ref.end(), 0.0f);
+      std::fill(out_opt.begin(), out_opt.end(), 0.0f);
+      turn = slot;
+      Run(c, /*optimized=*/false);
+      const std::vector<uint8_t> ref_taps =
+          tapsets.empty() ? std::vector<uint8_t>() : tapsets[slot];
+      turn = slot;
+      Run(c, /*optimized=*/true);
+      same = same &&
+             std::memcmp(out_ref.data(), out_opt.data(),
+                         out_ref.size() * sizeof(float)) == 0 &&
+             (tapsets.empty() || tapsets[slot] == ref_taps);
+    }
+    turn = 0;
+    return same;
   }
 };
 

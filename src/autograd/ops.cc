@@ -37,6 +37,15 @@ Tensor ScalarTensor(float v) {
 Variable MakeOp(std::vector<NodePtr> inputs,
                 std::function<void(GraphNode*)> forward,
                 std::function<void(GraphNode*)> backward) {
+  if (NoGradScope::Active()) {
+    // Inference: compute the value, then let go of the producers so each
+    // activation dies once its consumers have run (tape.h, NoGradScope).
+    auto node = std::make_shared<GraphNode>(Tensor(), /*requires_grad=*/false);
+    node->inputs = std::move(inputs);
+    forward(node.get());
+    node->inputs.clear();
+    return Variable(node);
+  }
   const bool needs_grad = AnyRequiresGrad(inputs);
   auto node = std::make_shared<GraphNode>(Tensor(), needs_grad);
   node->inputs = std::move(inputs);

@@ -9,6 +9,7 @@ namespace rfed::ag {
 namespace {
 
 thread_local TapeSession* g_session = nullptr;
+thread_local int g_no_grad_depth = 0;
 
 obs::Counter* ReuseHitsCounter() {
   static obs::Counter* c =
@@ -271,24 +272,36 @@ void TapeSession::AfterNodeBackward(GraphNode* node) {
   if (OnlyTapeHoldsNode(node)) node->ReleaseValue();
 }
 
+NoGradScope::NoGradScope() { ++g_no_grad_depth; }
+NoGradScope::~NoGradScope() { --g_no_grad_depth; }
+bool NoGradScope::Active() { return g_no_grad_depth > 0; }
+
 namespace internal {
+namespace {
+
+/// The session a graph-building op reports to: none under a NoGradScope.
+TapeSession* RecordingTarget() {
+  return g_no_grad_depth > 0 ? nullptr : g_session;
+}
+
+}  // namespace
 
 TapeSession* ActiveSession() { return g_session; }
 
 void NotifyNodeCreated(const std::shared_ptr<GraphNode>& node) {
-  if (g_session != nullptr) g_session->RecordNode(node);
+  if (TapeSession* s = RecordingTarget()) s->RecordNode(node);
 }
 
 void MarkDynamic() {
-  if (g_session != nullptr) g_session->MarkDynamic();
+  if (TapeSession* s = RecordingTarget()) s->MarkDynamic();
 }
 
 void BeginSegment() {
-  if (g_session != nullptr) g_session->BeginSegment();
+  if (TapeSession* s = RecordingTarget()) s->BeginSegment();
 }
 
 void CloseSegment() {
-  if (g_session != nullptr) g_session->CloseSegment();
+  if (TapeSession* s = RecordingTarget()) s->CloseSegment();
 }
 
 void RunBackwardPass(GraphNode* root, const std::vector<GraphNode*>& order,

@@ -153,6 +153,29 @@ class TapeSession {
   int64_t clock_ = 0;  // LRU stamp
 };
 
+/// RAII inference mode for the calling thread (SNIPPETS.md Snippets 2-3:
+/// marian-lite's `trainable_`, C-ML's `requires_grad`). While a scope is
+/// open, every op computes its forward value and nothing else: the
+/// result node keeps no inputs, no backward closure and no replay
+/// closure, requires no gradient, and is never reported to an active
+/// TapeSession (nor are MarkDynamic or checkpoint segment markers). An
+/// activation is therefore freed as soon as its last consumer has run
+/// and the caller drops its own handle, so a no-grad forward holds about
+/// two layers' activations at a time instead of the whole graph. Values
+/// are bit-identical to a graph-building forward: the same kernels run
+/// in the same order on the same inputs. Scopes nest and are per thread
+/// -- open one inside each pool task.
+class NoGradScope {
+ public:
+  NoGradScope();
+  ~NoGradScope();
+  NoGradScope(const NoGradScope&) = delete;
+  NoGradScope& operator=(const NoGradScope&) = delete;
+
+  /// True iff a scope is open on the calling thread.
+  static bool Active();
+};
+
 namespace internal {
 
 /// The calling thread's active session, if any. Installed by the

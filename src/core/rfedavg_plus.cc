@@ -88,11 +88,20 @@ void RFedAvgPlus::OnRoundEnd(int round, const std::vector<int>& selected) {
   // model cannot recompute, and a map upload lost in flight leaves the
   // store holding that client's previous map — the server's averaged map
   // is always the mean of the maps it actually *received*.
+  //
+  // Speculative compute, in-order commit: every survivor's map is
+  // computed first, where its data lives (MAP jobs on the serve workers,
+  // the thread pool in the sim), and the channel legs, DP noise and
+  // screen then run in cohort order — the fault channel's RNG and the
+  // noise stream are drawn exactly as a one-client-at-a-time loop would.
   obs::TraceSpan trace_span("map_sync");
-  for (int k : selected) {
+  std::vector<Tensor> deltas =
+      ComputeCohortDeltas(round, selected, reg_.regularize_logits);
+  for (size_t i = 0; i < selected.size(); ++i) {
+    const int k = selected[i];
+    // A lost download drops the map computed ahead of it.
     if (!ChargeModelDownload()) continue;
-    Tensor delta =
-        ComputeClientDelta(k, global_state(), reg_.regularize_logits);
+    Tensor delta = std::move(deltas[i]);
     ApplyDpNoise(reg_.dp, &delta, &noise_rng_);
     // Arriving maps pass the server's non-finite screen before entering
     // the store (a poisoned global model — possible with validation off

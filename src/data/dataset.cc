@@ -48,7 +48,21 @@ int64_t Dataset::sequence_length() const {
   return static_cast<int64_t>(tokens_[0].size());
 }
 
+Dataset Dataset::LabelsOnly() const {
+  Dataset out =
+      kind_ == Kind::kImage
+          ? Dataset(Tensor(Shape{0, images_.dim(1), images_.dim(2),
+                                 images_.dim(3)}),
+                    {}, num_classes_)
+          : Dataset({tokens_[0]}, {labels_[0]}, num_classes_, vocab_size_);
+  out.labels_ = labels_;
+  out.labels_only_ = true;
+  return out;
+}
+
 Batch Dataset::GetBatch(const std::vector<int>& indices) const {
+  RFED_CHECK(!labels_only_)
+      << "GetBatch on a labels-only dataset: this process holds no examples";
   Batch batch;
   batch.labels.reserve(indices.size());
   for (int i : indices) {
@@ -59,8 +73,10 @@ Batch Dataset::GetBatch(const std::vector<int>& indices) const {
   if (kind_ == Kind::kImage) {
     const int64_t example_size =
         images_.dim(1) * images_.dim(2) * images_.dim(3);
-    Tensor out(Shape{static_cast<int64_t>(indices.size()), images_.dim(1),
-                     images_.dim(2), images_.dim(3)});
+    // Every element is copied below, so the storage is not zero-filled.
+    Tensor out = Tensor::Uninitialized(
+        Shape{static_cast<int64_t>(indices.size()), images_.dim(1),
+              images_.dim(2), images_.dim(3)});
     for (size_t i = 0; i < indices.size(); ++i) {
       const float* src = images_.data() + indices[i] * example_size;
       std::copy(src, src + example_size,

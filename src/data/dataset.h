@@ -46,6 +46,13 @@ class Dataset {
   /// Sequence length; requires kind() == kSequence.
   int64_t sequence_length() const;
 
+  /// A copy with the labels, class count and example geometry but none
+  /// of the examples: what a process needs to partition and weight
+  /// clients whose data lives elsewhere (a serve-mode rFedAvg+ server).
+  /// GetBatch and GetAll on it abort, so a process that must never read
+  /// training examples is checked at runtime.
+  Dataset LabelsOnly() const;
+
   /// Materializes the examples at `indices` into a batch.
   Batch GetBatch(const std::vector<int>& indices) const;
 
@@ -62,6 +69,7 @@ class Dataset {
   Tensor images_;  // [N, C, H, W] when kind_ == kImage.
   std::vector<std::vector<int>> tokens_;
   std::vector<int> labels_;
+  bool labels_only_ = false;
 };
 
 }  // namespace rfed

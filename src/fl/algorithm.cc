@@ -58,6 +58,14 @@ const Dataset* PoolTrainData(const ClientPool* pool) {
   return &pool->train_pool();
 }
 
+/// Examples per forward in ComputeClientDelta. Any block size gives the
+/// same bits; this one is the trainer's evaluation block. It keeps the
+/// CNN's 150-example maps at well under half the one-pass activation
+/// memory (two serve workers run them at once), and keeps the LSTM's
+/// gate GEMMs off the small-shape path a training batch of 10 sequences
+/// would take.
+constexpr size_t kDeltaChunkExamples = 64;
+
 }  // namespace
 
 FederatedAlgorithm::FederatedAlgorithm(std::string name, const FlConfig& config,
@@ -409,22 +417,34 @@ std::vector<uint8_t> FederatedAlgorithm::EncodeTrainContextFor(
     int round, int client) const {
   std::vector<uint8_t> blob;
   CheckpointWriter writer(&blob);
+  writer.WriteU32(static_cast<uint32_t>(JobKind::kTrain));
   EncodeTrainContext(round, client, &writer);
   return blob;
 }
 
-void FederatedAlgorithm::ApplyTrainContext(int round, int client,
-                                           const std::vector<uint8_t>& blob) {
-  CheckpointReader reader(blob);
+std::pair<Tensor, double> FederatedAlgorithm::ExecuteJob(
+    int round, int client, Tensor state, const std::vector<uint8_t>& context,
+    const std::vector<uint8_t>& batcher_base) {
+  RFED_CHECK_GE(client, 0);
+  RFED_CHECK_LT(client, num_clients());
+  SetGlobalState(std::move(state));
+  CheckpointReader reader(context);
+  const uint32_t kind = reader.ReadU32();
+  if (kind == static_cast<uint32_t>(JobKind::kMap)) {
+    const bool use_logits = reader.ReadBool();
+    RFED_CHECK(reader.AtEnd()) << "trailing bytes in MAP context for client "
+                               << client;
+    RFED_CHECK(batcher_base.empty())
+        << "MAP job for client " << client << " carries a batcher base";
+    obs::TraceSpan trace_span("map_job");
+    return {ComputeClientDelta(client, global_state_, use_logits), 0.0};
+  }
+  RFED_CHECK_EQ(kind, static_cast<uint32_t>(JobKind::kTrain))
+      << "unknown job kind for client " << client;
+  InstallBatcherBase(client, batcher_base);
   DecodeTrainContext(round, client, &reader);
   RFED_CHECK(reader.AtEnd()) << "trailing bytes in train context for client "
                              << client;
-}
-
-std::pair<Tensor, double> FederatedAlgorithm::ExecuteLocalTraining(int round,
-                                                                   int client) {
-  RFED_CHECK_GE(client, 0);
-  RFED_CHECK_LT(client, num_clients());
   return LocalTrain(round, client, global_state_);
 }
 
@@ -493,19 +513,86 @@ double FederatedAlgorithm::EvaluateLocalLoss(int client, const Tensor& state,
   LoadParameters(state, params);
   const std::vector<int> indices = CappedIndices(client);
   Batch batch = train_data_->GetBatch(indices);
+  ag::NoGradScope no_grad;
   ModelOutput out = model->Forward(batch);
   Variable loss = CrossEntropyLoss(out.logits, batch.labels);
   return static_cast<double>(loss.value().ToScalar());
 }
 
 Tensor FederatedAlgorithm::ComputeClientDelta(int client, const Tensor& state,
-                                              bool use_logits) {
-  auto params = Params();
+                                              bool use_logits,
+                                              FeatureModel* model) {
+  if (model == nullptr) model = model_.get();
+  auto params = model->Parameters();
   LoadParameters(state, params);
   const std::vector<int> indices = CappedIndices(client);
-  Batch batch = train_data_->GetBatch(indices);
-  ModelOutput out = model_->Forward(batch);
-  return MeanRows(use_logits ? out.logits.value() : out.features.value());
+  RFED_CHECK(!indices.empty()) << "client " << client << " holds no data";
+  // kDeltaChunkExamples rows at a time: rows are independent through
+  // every layer and AccumulateRows adds them in MeanRows' order, so the
+  // map has the one-pass bits with a bounded forward.
+  ag::NoGradScope no_grad;
+  Tensor sum;
+  for (size_t begin = 0; begin < indices.size();
+       begin += kDeltaChunkExamples) {
+    const size_t end = std::min(begin + kDeltaChunkExamples, indices.size());
+    Batch batch = train_data_->GetBatch(
+        std::vector<int>(indices.begin() + static_cast<int64_t>(begin),
+                         indices.begin() + static_cast<int64_t>(end)));
+    ModelOutput out = model->Forward(batch);
+    const Tensor& rows =
+        use_logits ? out.logits.value() : out.features.value();
+    if (begin == 0) sum = Tensor(Shape{rows.dim(1)});
+    AccumulateRows(rows, &sum);
+  }
+  sum.MulInPlace(1.0f / static_cast<float>(indices.size()));
+  return sum;
+}
+
+std::vector<Tensor> FederatedAlgorithm::ComputeCohortDeltas(
+    int round, const std::vector<int>& clients, bool use_logits) {
+  const int n = static_cast<int>(clients.size());
+  std::vector<Tensor> deltas(clients.size());
+  if (train_executor_ != nullptr) {
+    // Alg. 2's second exchange runs where the data lives: one MAP job per
+    // client, carrying the aggregated model and nothing else.
+    std::vector<uint8_t> context;
+    CheckpointWriter writer(&context);
+    writer.WriteU32(static_cast<uint32_t>(JobKind::kMap));
+    writer.WriteBool(use_logits);
+    const bool pipelined = train_executor_->pipelined();
+    if (pipelined) {
+      for (int k : clients) {
+        train_executor_->Submit(round, k, global_state_, context, {});
+      }
+    }
+    for (int i = 0; i < n; ++i) {
+      const int k = clients[static_cast<size_t>(i)];
+      if (!pipelined) {
+        train_executor_->Submit(round, k, global_state_, context, {});
+      }
+      deltas[static_cast<size_t>(i)] =
+          std::move(train_executor_->Collect(round, k).first);
+    }
+    return deltas;
+  }
+  // Pin pool-mode views on this thread; pool tasks only read them.
+  for (int k : clients) EnsureClientMaterialized(k);
+  if (UseParallelPath(clients.size())) {
+    EnsureScratchModels(clients.size());
+    pool_->ParallelFor(n, [&](int i) {
+      const size_t slot = static_cast<size_t>(i);
+      deltas[slot] = ComputeClientDelta(clients[slot], global_state_,
+                                        use_logits,
+                                        scratch_models_[slot].get());
+    });
+  } else {
+    for (int i = 0; i < n; ++i) {
+      const size_t slot = static_cast<size_t>(i);
+      deltas[slot] = ComputeClientDelta(clients[slot], global_state_,
+                                        use_logits);
+    }
+  }
+  return deltas;
 }
 
 bool FederatedAlgorithm::ChargeModelDownload() {

@@ -35,27 +35,33 @@ class CheckpointReader;
 /// reconstruct the exact stream.
 inline constexpr uint64_t kPoolBatcherLineage = 0xba7c4e55eedull;
 
-/// Seam between the round loop and wherever local training actually
-/// runs. Without an executor the loop calls LocalTrain in process; the
-/// serve layer (src/serve/) installs a RemoteExecutor that ships each
-/// job to an rfed_worker process over TCP. Submit hands over (round,
-/// client, broadcast init state, algorithm context blob); Collect
-/// returns that client's trained flat state and mean local loss. The
-/// round loop submits and collects in cohort order, so an
-/// implementation may treat each destination's jobs as a FIFO. When
-/// pipelined() is true the loop submits a whole cohort before
-/// collecting anything (workers train concurrently, broadcast of later
+/// Seam between the round loop and wherever client-side work actually
+/// runs. Without an executor the loop runs it in process; the serve
+/// layer (src/serve/) installs a RemoteExecutor that ships each job to
+/// an rfed_worker process over TCP. A job is one of two kinds, told
+/// apart only by the algorithm-owned context blob (the executor never
+/// looks inside): a *training* job, whose Collect returns the client's
+/// trained flat state and mean local loss, and a *MAP* job (rFedAvg+'s
+/// second synchronization, Alg. 2 lines 13-16), whose Collect returns
+/// the client's feature-mean map δ under the submitted state and 0.
+/// Submit hands over (round, client, state, context, batcher base).
+/// Jobs of one (round, client) are collected in the order they were
+/// submitted, and the round loop submits and collects in cohort order,
+/// so an implementation may treat each destination's jobs as a FIFO.
+/// When pipelined() is true the loop submits a whole cohort before
+/// collecting anything (workers compute concurrently, broadcast of later
 /// jobs overlaps the upload tail of earlier ones); otherwise Submit and
 /// Collect strictly alternate, matching the sequential in-process path
 /// operation-for-operation.
 class TrainExecutor {
  public:
   virtual ~TrainExecutor() = default;
-  /// `batcher_base` is the client's batcher-stream snapshot at the job's
-  /// start (EncodeBatcherBaseFor, taken before the server's Skip()
+  /// `batcher_base` is a training job's batcher-stream snapshot at the
+  /// job's start (EncodeBatcherBaseFor, taken before the server's Skip()
   /// mirror), so the job is self-contained: any replica can execute it
   /// without having tracked the client's stream in lockstep — the
-  /// property that makes reassigning a dead worker's jobs sound.
+  /// property that makes reassigning a dead worker's jobs sound. MAP
+  /// jobs read no batcher and pass an empty base.
   virtual void Submit(int round, int client, const Tensor& init_state,
                       const std::vector<uint8_t>& context,
                       const std::vector<uint8_t>& batcher_base) = 0;
@@ -195,36 +201,18 @@ class FederatedAlgorithm {
   }
   TrainExecutor* train_executor() const { return train_executor_; }
 
-  /// Worker-side mirror of one delegated job, used by the rfed_worker
-  /// replica (never by the serving loop itself): install the broadcast
-  /// model, apply the job's context blob, run the local steps.
-  void InstallGlobalState(Tensor state) { SetGlobalState(std::move(state)); }
-
-  /// The EncodeTrainContext hook's output for one job, framed for
-  /// ApplyTrainContext on the worker replica.
-  std::vector<uint8_t> EncodeTrainContextFor(int round, int client) const;
-
-  /// Decodes a context blob written by EncodeTrainContextFor into this
-  /// replica's DecodeTrainContext hook. Aborts on trailing bytes.
-  void ApplyTrainContext(int round, int client,
-                         const std::vector<uint8_t>& blob);
-
-  /// Serializes `client`'s current batcher-stream state (shuffled order,
-  /// cursor, shuffle RNG) — the explicit base a JOB carries so a worker
-  /// replica can execute it without the lockstep Skip() assumption. Must
-  /// be called *before* SkipLocalBatches mirrors the job server-side.
-  std::vector<uint8_t> EncodeBatcherBaseFor(int client);
-
-  /// Restores a blob written by EncodeBatcherBaseFor into this replica's
-  /// batcher for `client` (worker side, once per JOB). Aborts on an
-  /// index-multiset mismatch (wrong client or partition) or trailing
-  /// bytes.
-  void InstallBatcherBase(int client, const std::vector<uint8_t>& blob);
-
-  /// Runs the client's local steps from the installed global state (the
-  /// worker half of a JOB); advances this replica's batcher stream with
-  /// real Next() draws, exactly as the server's Skip() replica does.
-  std::pair<Tensor, double> ExecuteLocalTraining(int round, int client);
+  /// Worker half of one delegated job, used by the rfed_worker replica
+  /// (never by the serving loop itself): installs `state` as this
+  /// replica's global model and runs the job the context blob names. A
+  /// training job installs `batcher_base`, decodes the subclass context
+  /// and runs the client's local steps — returning (trained state, mean
+  /// loss) and advancing this replica's batcher stream with real Next()
+  /// draws, exactly as the server's Skip() mirror does. A MAP job
+  /// returns (ComputeClientDelta under `state`, 0). Aborts on an unknown
+  /// kind, trailing context bytes, or a MAP job carrying a batcher base.
+  std::pair<Tensor, double> ExecuteJob(int round, int client, Tensor state,
+                                       const std::vector<uint8_t>& context,
+                                       const std::vector<uint8_t>& batcher_base);
 
   /// Executes one communication round, advancing the global model. In
   /// async mode one call == one server update (sim.async_buffer arrivals).
@@ -304,7 +292,7 @@ class FederatedAlgorithm {
   /// LocalTrain for `client` this round: SCAFFOLD's control variates,
   /// rFedAvg's peer δ maps. The base writes nothing (FedAvg-family
   /// training depends only on the init state). Decode must read exactly
-  /// what Encode wrote for the same (round, client); ApplyTrainContext
+  /// what Encode wrote for the same (round, client); ExecuteJob
   /// length-checks the blob.
   virtual void EncodeTrainContext(int round, int client,
                                   CheckpointWriter* writer) const {}
@@ -343,11 +331,24 @@ class FederatedAlgorithm {
                            FeatureModel* model = nullptr);
 
   /// Mean feature vector δ_k of `client`'s local data under `state`
-  /// (capped full-data pass); the paper's local mapping operator. With
-  /// use_logits the map is taken over the logits layer instead (the
-  /// regularizer-placement ablation).
+  /// (capped full-data pass, no-grad forward); the paper's local mapping
+  /// operator. With use_logits the map is taken over the logits layer
+  /// instead (the regularizer-placement ablation). Runs on `model` when
+  /// given (a per-task scratch model), else on the shared scratch model.
   Tensor ComputeClientDelta(int client, const Tensor& state,
-                            bool use_logits = false);
+                            bool use_logits = false,
+                            FeatureModel* model = nullptr);
+
+  /// δ of every client in `clients` under the current global state, in
+  /// `clients` order, computed wherever the clients' data lives: as one
+  /// MAP job per client through the installed executor, else over the
+  /// thread pool with per-task scratch models when the parallel path
+  /// applies, else sequentially. Every path gives the same bits; none
+  /// touches the fault channel, so callers may charge the transfers
+  /// afterwards in cohort order (rFedAvg+'s second synchronization).
+  std::vector<Tensor> ComputeCohortDeltas(int round,
+                                          const std::vector<int>& clients,
+                                          bool use_logits);
 
   /// Sends one full model through the fault channel (charging the
   /// ledger); returns true iff the transfer was delivered this round.
@@ -413,6 +414,26 @@ class FederatedAlgorithm {
                      const Dataset* train_data,
                      std::vector<ClientView> clients, const ClientPool* pool,
                      const ModelFactory& model_factory);
+
+  /// What a delegated job computes; the first word of its context blob.
+  enum class JobKind : uint32_t { kTrain = 1, kMap = 2 };
+
+  /// The EncodeTrainContext hook's output for one training job, behind
+  /// the kTrain word, for ExecuteJob on the worker replica.
+  std::vector<uint8_t> EncodeTrainContextFor(int round, int client) const;
+
+  /// Serializes `client`'s current batcher-stream state (shuffled order,
+  /// cursor, shuffle RNG) — the explicit base a training JOB carries so a
+  /// worker replica can execute it without the lockstep Skip()
+  /// assumption. Must be called *before* SkipLocalBatches mirrors the
+  /// job server-side.
+  std::vector<uint8_t> EncodeBatcherBaseFor(int client);
+
+  /// Restores a blob written by EncodeBatcherBaseFor into this replica's
+  /// batcher for `client` (worker side, once per training JOB). Aborts on
+  /// an index-multiset mismatch (wrong client or partition) or trailing
+  /// bytes.
+  void InstallBatcherBase(int client, const std::vector<uint8_t>& blob);
 
   /// Per-client record of the round's dispatch + local-training phase.
   struct ClientWork {

@@ -4,6 +4,7 @@
 #include <numeric>
 #include <utility>
 
+#include "autograd/tape.h"
 #include "fl/checkpoint.h"
 #include "nn/loss.h"
 #include "obs/metrics.h"
@@ -40,6 +41,7 @@ double FederatedTrainer::EvaluateOn(const Dataset* data,
                                     const std::vector<int>& indices) {
   RFED_CHECK(!indices.empty());
   FeatureModel* model = algorithm_->GlobalModel();
+  ag::NoGradScope no_grad;
   int64_t correct = 0;
   for (size_t begin = 0; begin < indices.size();
        begin += static_cast<size_t>(options_.eval_batch_size)) {

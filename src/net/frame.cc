@@ -99,6 +99,7 @@ FrameAssembler::Status FrameAssembler::Next(Frame* out) {
                  << (8 * i);
   }
   out->type = static_cast<FrameType>(type_word);
+  out->checksum = actual;
   out->payload.assign(frame_bytes.begin() + static_cast<int64_t>(kFrameHeaderBytes),
                       frame_bytes.begin() + static_cast<int64_t>(checked));
   return Status::kFrame;

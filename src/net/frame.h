@@ -40,6 +40,9 @@ enum class FrameType : uint32_t {
 struct Frame {
   FrameType type = FrameType::kHello;
   std::vector<uint8_t> payload;
+  /// The frame's verified FNV-1a checksum (over header and payload), as
+  /// set by FrameAssembler::Next: a free digest of the frame's bytes.
+  uint32_t checksum = 0;
 };
 
 /// Serializes one frame (header + payload + checksum).

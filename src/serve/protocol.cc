@@ -78,6 +78,7 @@ HelloAckMessage HelloAckMessage::Decode(const std::vector<uint8_t>& payload) {
 std::vector<uint8_t> JobMessage::Encode() const {
   std::vector<uint8_t> out;
   CheckpointWriter writer(&out);
+  writer.WriteU64(seq);
   writer.WriteI32(round);
   writer.WriteI32(client);
   WriteBlob(&writer, context);
@@ -89,6 +90,7 @@ std::vector<uint8_t> JobMessage::Encode() const {
 JobMessage JobMessage::Decode(const std::vector<uint8_t>& payload) {
   CheckpointReader reader(payload);
   JobMessage out;
+  out.seq = reader.ReadU64();
   out.round = reader.ReadI32();
   out.client = reader.ReadI32();
   out.context = ReadBlob(&reader);
@@ -101,6 +103,7 @@ JobMessage JobMessage::Decode(const std::vector<uint8_t>& payload) {
 std::vector<uint8_t> ResultMessage::Encode() const {
   std::vector<uint8_t> out;
   CheckpointWriter writer(&out);
+  writer.WriteU64(seq);
   writer.WriteI32(round);
   writer.WriteI32(client);
   writer.WriteDouble(loss);
@@ -111,6 +114,7 @@ std::vector<uint8_t> ResultMessage::Encode() const {
 ResultMessage ResultMessage::Decode(const std::vector<uint8_t>& payload) {
   CheckpointReader reader(payload);
   ResultMessage out;
+  out.seq = reader.ReadU64();
   out.round = reader.ReadI32();
   out.client = reader.ReadI32();
   out.loss = reader.ReadDouble();

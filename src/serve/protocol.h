@@ -43,14 +43,21 @@ struct HelloAckMessage {
   static HelloAckMessage Decode(const std::vector<uint8_t>& payload);
 };
 
-/// Server -> worker: train `client` for `round`. `context` is the
-/// algorithm's EncodeTrainContextFor blob (SCAFFOLD controls, rFedAvg
-/// maps); `batcher_base` is the client's batcher-stream state at the
-/// job's start (EncodeBatcherBaseFor), making the job self-contained —
-/// any worker replica can execute it from a cold cache, which is what
-/// permits reassignment after a worker death; `download` is a
-/// kModelDownload FlMessage carrying the broadcast init state.
+/// Server -> worker: one job for `client` in `round`. `seq` is the
+/// executor's job sequence number (unique per run, starting at 1), which
+/// the RESULT echoes: it tells a round's MAP job for client k apart from
+/// the same round's training job for k, so a late duplicate of one can
+/// never complete the other. `context` is the algorithm's blob — its
+/// first word names the job kind (training or MAP; see
+/// FederatedAlgorithm::ExecuteJob), the rest is the kind's payload
+/// (SCAFFOLD controls, rFedAvg maps; the MAP layer choice).
+/// `batcher_base` is a training job's batcher-stream state at the job's
+/// start (EncodeBatcherBaseFor, empty for MAP jobs), making the job
+/// self-contained — any worker replica can execute it from a cold cache,
+/// which is what permits reassignment after a worker death; `download`
+/// is a kModelDownload FlMessage carrying the broadcast state.
 struct JobMessage {
+  uint64_t seq = 0;
   int32_t round = 0;
   int32_t client = 0;
   std::vector<uint8_t> context;
@@ -61,9 +68,12 @@ struct JobMessage {
   static JobMessage Decode(const std::vector<uint8_t>& payload);
 };
 
-/// Worker -> server: the trained flat state (kModelUpload FlMessage) and
-/// the mean local loss for one completed job.
+/// Worker -> server: one completed job, echoing its JOB's `seq`, round
+/// and client. The kModelUpload FlMessage carries the trained flat state
+/// and `loss` the mean local loss (training job), or the client's δ map
+/// and 0 (MAP job).
 struct ResultMessage {
+  uint64_t seq = 0;
   int32_t round = 0;
   int32_t client = 0;
   double loss = 0.0;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 #include <utility>
 
 #include "serve/protocol.h"
@@ -142,6 +143,7 @@ void RemoteExecutor::Submit(int round, int client, const Tensor& init_state,
                             const std::vector<uint8_t>& batcher_base) {
   RFED_CHECK(!workers_.empty()) << "Submit before AcceptWorkers";
   JobMessage job;
+  job.seq = next_seq_++;
   job.round = round;
   job.client = client;
   job.context = context;
@@ -153,10 +155,18 @@ void RemoteExecutor::Submit(int round, int client, const Tensor& init_state,
   std::vector<uint8_t> wire = net::EncodeFrame(net::FrameType::kJob,
                                                job.Encode());
   stats_.jobs_sent += 1;
-  const JobKey key{round, client};
-  pending_wire_[key] = wire;
+  if (round > latest_round_) {
+    // Digests cover the latest two rounds; an older duplicate is dropped
+    // unchecked.
+    latest_round_ = round;
+    for (auto it = digests_.begin(); it != digests_.end();) {
+      it = it->second.round < round - 1 ? digests_.erase(it) : std::next(it);
+    }
+  }
+  pending_[job.seq] = PendingJob{round, client, wire};
+  uncollected_[{round, client}].push_back(job.seq);
   Worker* worker = PickWorker(client);
-  worker->assigned.push_back(key);
+  worker->assigned.push_back(job.seq);
   // The busy deadline measures from dispatch, not from the worker's last
   // sign of life — the server may have spent arbitrarily long between
   // rounds in aggregation/eval with every worker silent and healthy.
@@ -166,11 +176,17 @@ void RemoteExecutor::Submit(int round, int client, const Tensor& init_state,
 
 std::pair<Tensor, double> RemoteExecutor::Collect(int round, int client) {
   RFED_CHECK(!workers_.empty()) << "Collect before AcceptWorkers";
-  const JobKey key{round, client};
-  auto it = completed_.find(key);
+  const auto queue = uncollected_.find({round, client});
+  RFED_CHECK(queue != uncollected_.end())
+      << "Collect for round " << round << " client " << client
+      << " with no job submitted";
+  const uint64_t seq = queue->second.front();
+  queue->second.pop_front();
+  if (queue->second.empty()) uncollected_.erase(queue);
+  auto it = completed_.find(seq);
   while (it == completed_.end()) {
     PumpEvents();
-    it = completed_.find(key);
+    it = completed_.find(seq);
   }
   std::pair<Tensor, double> out = std::move(it->second);
   completed_.erase(it);
@@ -279,23 +295,46 @@ void RemoteExecutor::HandleFrame(int worker_id, const net::Frame& frame) {
       ResultMessage result = ResultMessage::Decode(frame.payload);
       RFED_CHECK(result.upload.kind == FlMessage::Kind::kModelUpload);
       RFED_CHECK_EQ(result.upload.payload.size(), 1u);
-      const JobKey key{result.round, result.client};
-      if (pending_wire_.erase(key) == 0) {
+      const auto job = pending_.find(result.seq);
+      if (job == pending_.end()) {
         // Duplicate: the job was reassigned and both replicas answered.
-        // Local training is deterministic given the job body, so the
-        // copies are byte-identical — dropping the late one is safe.
+        // Execution is deterministic given the job body, so the copies
+        // must be byte-identical — checked, then the late one dropped.
+        const auto first = digests_.find(result.seq);
+        if (first != digests_.end()) {
+          RFED_CHECK(first->second.checksum == frame.checksum)
+              << "duplicate RESULT for round " << first->second.round
+              << " client " << first->second.client << " (job " << result.seq
+              << ") from worker " << worker_id
+              << " differs from the copy already accepted";
+        } else {
+          RFED_CHECK(result.seq > 0 && result.seq < next_seq_)
+              << "worker " << worker_id << " answered job " << result.seq
+              << ", which was never submitted";
+        }
         return;
       }
+      RFED_CHECK(result.round == job->second.round &&
+                 result.client == job->second.client)
+          << "worker " << worker_id << " answered job " << result.seq
+          << " as round " << result.round << " client " << result.client
+          << "; it was round " << job->second.round << " client "
+          << job->second.client;
+      pending_.erase(job);
       stats_.results_received += 1;
       for (auto& slot : workers_) {
         if (slot == nullptr) continue;
-        auto it = std::find(slot->assigned.begin(), slot->assigned.end(), key);
+        auto it = std::find(slot->assigned.begin(), slot->assigned.end(),
+                            result.seq);
         if (it != slot->assigned.end()) {
           slot->assigned.erase(it);
           break;
         }
       }
-      completed_[key] = {std::move(result.upload.payload[0]), result.loss};
+      digests_[result.seq] = CompletedDigest{result.round, result.client,
+                                             frame.checksum};
+      completed_[result.seq] = {std::move(result.upload.payload[0]),
+                                result.loss};
       break;
     }
     case net::FrameType::kPong: {
@@ -330,7 +369,7 @@ void RemoteExecutor::OnWorkerDeath(int worker_id, const char* cause) {
   std::fprintf(stderr,
                "rfed_server: worker %d lost (%s), %d outstanding job(s)\n",
                worker_id, cause, static_cast<int>(w->assigned.size()));
-  for (const JobKey& key : w->assigned) orphans_.push_back(key);
+  for (const uint64_t seq : w->assigned) orphans_.push_back(seq);
   w->assigned.clear();
   w->ping_sent_ms = -1;
   if (AliveCount() == 0) all_dead_since_ms_ = NowMs();
@@ -339,20 +378,20 @@ void RemoteExecutor::OnWorkerDeath(int worker_id, const char* cause) {
 
 void RemoteExecutor::RedistributeOrphans() {
   while (!orphans_.empty()) {
-    const JobKey key = orphans_.front();
-    const auto it = pending_wire_.find(key);
-    if (it == pending_wire_.end()) {
+    const uint64_t seq = orphans_.front();
+    const auto it = pending_.find(seq);
+    if (it == pending_.end()) {
       orphans_.pop_front();  // already answered by another replica
       continue;
     }
     Worker* target = LeastLoadedAlive();
     if (target == nullptr) return;  // keep them for the next rejoin
     orphans_.pop_front();
-    target->assigned.push_back(key);
+    target->assigned.push_back(seq);
     target->last_activity_ms = NowMs();
     stats_.jobs_reassigned += 1;
     m_reassigned_->Increment();
-    Enqueue(target, it->second);
+    Enqueue(target, it->second.wire);
   }
 }
 
@@ -479,7 +518,7 @@ void RemoteExecutor::CheckTotalOutage() {
     all_dead_since_ms_ = -1;
     return;
   }
-  if (pending_wire_.empty() && orphans_.empty()) return;
+  if (pending_.empty() && orphans_.empty()) return;
   RFED_CHECK(restarts_used_ < options_.max_worker_restarts)
       << "all workers lost and the worker restart budget ("
       << options_.max_worker_restarts << ") is exhausted";
@@ -494,6 +533,24 @@ void RemoteExecutor::CheckTotalOutage() {
 void RemoteExecutor::Shutdown() {
   if (shut_down_) return;
   shut_down_ = true;
+  // A worker whose link died near the end of the run may be reconnecting
+  // right now. While the restart budget would have admitted it, give it
+  // one detector tick and answer its handshake with SHUTDOWN, so it
+  // exits cleanly instead of retrying against a server that is gone.
+  if (listener_ != nullptr && AliveCount() < num_workers() &&
+      restarts_used_ < options_.max_worker_restarts) {
+    int dead = num_workers() - AliveCount();
+    const int64_t deadline = NowMs() + DetectorTickMs();
+    for (int64_t now = NowMs(); dead > 0 && now < deadline; now = NowMs()) {
+      struct pollfd probe = {listener_->fd(), POLLIN, 0};
+      if (::poll(&probe, 1, static_cast<int>(deadline - now)) <= 0) break;
+      net::TcpConnection late = listener_->Accept();
+      if (late.valid() &&
+          net::SendFrame(&late, net::FrameType::kShutdown, {})) {
+        --dead;
+      }
+    }
+  }
   for (auto& worker : workers_) {
     if (worker == nullptr) continue;
     {

@@ -53,12 +53,19 @@ struct ExecutorOptions {
   int max_worker_restarts = 0;
 };
 
-/// TrainExecutor shipping each local-training job to an rfed_worker
-/// process over TCP. Jobs are self-contained (init state + context +
-/// batcher base in the JOB body), so client->worker placement is a
-/// preference, not a correctness constraint: Submit routes client k to
-/// worker k mod W while it lives and to the least-loaded survivor when
-/// it does not. Each worker connection gets a dedicated sender thread
+/// TrainExecutor shipping each job — local training or rFedAvg+'s MAP
+/// job, which it never tells apart — to an rfed_worker process over TCP.
+/// Jobs are self-contained (state + context + batcher base in the JOB
+/// body), so client->worker placement is a preference, not a
+/// correctness constraint: Submit routes client k to worker k mod W
+/// while it lives and to the least-loaded survivor when it does not.
+/// Every JOB carries an executor-assigned sequence number that its
+/// RESULT echoes; results are matched by it, never by (round, client),
+/// so a late duplicate of round r's training job for client k cannot
+/// complete round r's MAP job for k. A duplicate RESULT (a reassigned
+/// job answered twice) is checked against the digest of the first copy
+/// and dropped; a mismatch aborts the run naming round, client and
+/// worker. Each worker connection gets a dedicated sender thread
 /// draining an outbox of pre-encoded frames (JOB, PING, SHUTDOWN all
 /// ride it, keeping the fd single-writer), which is what makes
 /// pipelining real: a whole cohort's jobs are queued at once and the
@@ -98,10 +105,14 @@ class RemoteExecutor : public TrainExecutor {
   void Submit(int round, int client, const Tensor& init_state,
               const std::vector<uint8_t>& context,
               const std::vector<uint8_t>& batcher_base) override;
+  /// Returns the oldest uncollected job submitted for (round, client).
   std::pair<Tensor, double> Collect(int round, int client) override;
   bool pipelined() const override { return options_.pipelined; }
 
   /// Sends SHUTDOWN to every live worker and joins the sender threads.
+  /// When a worker is dead and the restart budget would admit it back,
+  /// first waits up to one detector tick for its reconnect and answers
+  /// that handshake with SHUTDOWN too.
   /// A sender blocked mid-send on a dead or stalled peer is interrupted
   /// (close-interrupts-send) after a bounded grace, so Shutdown always
   /// returns. Called automatically by the destructor; idempotent.
@@ -112,6 +123,19 @@ class RemoteExecutor : public TrainExecutor {
 
  private:
   using JobKey = std::pair<int, int>;  ///< (round, client)
+
+  /// A submitted job awaiting its first RESULT.
+  struct PendingJob {
+    int round = 0;
+    int client = 0;
+    std::vector<uint8_t> wire;  ///< encoded JOB frame, for re-dispatch
+  };
+  /// What a late duplicate RESULT is checked against.
+  struct CompletedDigest {
+    int round = 0;
+    int client = 0;
+    uint32_t checksum = 0;  ///< the RESULT frame's, length included
+  };
 
   struct Worker {
     net::TcpConnection conn;
@@ -125,7 +149,7 @@ class RemoteExecutor : public TrainExecutor {
     bool sender_done = false;  ///< under mu: sender thread has returned
     // Main-thread-only failure-detector state.
     bool alive = false;
-    std::deque<JobKey> assigned;  ///< outstanding jobs, oldest first
+    std::deque<uint64_t> assigned;  ///< outstanding job seqs, oldest first
     int64_t last_activity_ms = 0;
     int64_t ping_sent_ms = -1;  ///< -1: no PING outstanding
     uint32_t ping_seq = 0;
@@ -174,13 +198,21 @@ class RemoteExecutor : public TrainExecutor {
   std::function<std::vector<uint8_t>()> state_provider_;
 
   std::vector<std::unique_ptr<Worker>> workers_;
-  /// Encoded JOB wire frames by key, kept until the RESULT lands so a
-  /// dead worker's jobs can be re-dispatched byte-for-byte.
-  std::map<JobKey, std::vector<uint8_t>> pending_wire_;
+  /// Submitted jobs by sequence number, kept until the first RESULT
+  /// lands so a dead worker's jobs can be re-dispatched byte-for-byte.
+  std::map<uint64_t, PendingJob> pending_;
+  /// Sequence numbers per (round, client) in submit order, until
+  /// collected.
+  std::map<JobKey, std::deque<uint64_t>> uncollected_;
   /// Results that arrived ahead of their Collect call (reassignment and
   /// pipelining both break per-connection FIFO order).
-  std::map<JobKey, std::pair<Tensor, double>> completed_;
-  std::deque<JobKey> orphans_;  ///< dead workers' jobs awaiting a new home
+  std::map<uint64_t, std::pair<Tensor, double>> completed_;
+  /// Digests of completed jobs of the latest two submitted rounds; older
+  /// ones are pruned as rounds advance.
+  std::map<uint64_t, CompletedDigest> digests_;
+  std::deque<uint64_t> orphans_;  ///< dead workers' jobs awaiting a new home
+  uint64_t next_seq_ = 1;
+  int latest_round_ = 0;  ///< highest round submitted so far
   int restarts_used_ = 0;
   int64_t all_dead_since_ms_ = -1;  ///< -1: at least one worker lives
 

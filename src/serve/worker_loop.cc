@@ -38,6 +38,11 @@ WorkerLoopResult RunWorkerLoop(FederatedAlgorithm* algorithm,
   net::FrameAssembler assembler;
   net::Frame frame;
   if (!net::RecvFrame(conn, &assembler, &frame)) return out;
+  if (frame.type == net::FrameType::kShutdown) {
+    // The run ended while this replica was (re)connecting.
+    out.clean_shutdown = true;
+    return out;
+  }
   RFED_CHECK(frame.type == net::FrameType::kHelloAck)
       << "expected HELLO_ACK, got frame type "
       << static_cast<uint32_t>(frame.type);
@@ -70,12 +75,11 @@ WorkerLoopResult RunWorkerLoop(FederatedAlgorithm* algorithm,
         << static_cast<uint32_t>(frame.type);
     JobMessage job = JobMessage::Decode(frame.payload);
     RFED_CHECK_EQ(job.download.payload.size(), 1u);
-    algorithm->InstallBatcherBase(job.client, job.batcher_base);
-    algorithm->InstallGlobalState(std::move(job.download.payload[0]));
-    algorithm->ApplyTrainContext(job.round, job.client, job.context);
-    auto [state, loss] =
-        algorithm->ExecuteLocalTraining(job.round, job.client);
+    auto [state, loss] = algorithm->ExecuteJob(
+        job.round, job.client, std::move(job.download.payload[0]),
+        job.context, job.batcher_base);
     ResultMessage result;
+    result.seq = job.seq;
     result.round = job.round;
     result.client = job.client;
     result.loss = loss;

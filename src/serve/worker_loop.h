@@ -22,9 +22,10 @@ struct WorkerLoopResult {
 /// HELLO_REJOIN when `rejoin_round` >= 0, i.e. this is a reconnect after
 /// a lost connection — carrying worker_id / num_workers / fingerprint;
 /// HELLO_ACK restoring the server's run state into `algorithm`), then
-/// serves JOB frames — install the batcher base and broadcast model,
-/// apply the context blob, run the local steps, reply RESULT — and
-/// answers PING probes with PONG, until SHUTDOWN or EOF. Jobs are
+/// serves JOB frames — FederatedAlgorithm::ExecuteJob runs the training
+/// or MAP job the context names, and the RESULT echoes the JOB's
+/// sequence number — and answers PING probes with PONG, until SHUTDOWN
+/// or EOF. Jobs are
 /// self-contained, so the loop executes whatever client the server
 /// routed here, including jobs reassigned from a dead peer. Also the
 /// in-process loopback harness of the serve tests: it runs unchanged on

@@ -11,7 +11,7 @@ namespace {
 // its buffers in their bucket, but training tapes request the same few
 // dozen sizes every step, so in practice every bucket cycles.
 struct PoolState {
-  std::unordered_map<size_t, std::vector<std::vector<float>>> buckets;
+  std::unordered_map<size_t, std::vector<FloatStorage>> buckets;
 };
 
 // Trivially destructible activation depth: safe to consult from Tensor
@@ -51,12 +51,12 @@ BufferPool::Scope::~Scope() { --depth; }
 
 bool BufferPool::Active() { return depth > 0; }
 
-std::vector<float> BufferPool::Acquire(size_t n) {
+FloatStorage BufferPool::Acquire(size_t n) {
   AddOutstanding(static_cast<int64_t>(n) * 4);
   if (n > 0) {
     auto it = State().buckets.find(n);
     if (it != State().buckets.end() && !it->second.empty()) {
-      std::vector<float> buf = std::move(it->second.back());
+      FloatStorage buf = std::move(it->second.back());
       it->second.pop_back();
       buf.clear();
       ++thread_hits;
@@ -64,12 +64,12 @@ std::vector<float> BufferPool::Acquire(size_t n) {
     }
   }
   ++thread_allocs;
-  std::vector<float> buf;
+  FloatStorage buf;
   buf.reserve(n);
   return buf;
 }
 
-void BufferPool::MaybeRecycle(std::vector<float>* buf, bool accounted) {
+void BufferPool::MaybeRecycle(FloatStorage* buf, bool accounted) {
   if (accounted) {
     g_outstanding.fetch_sub(static_cast<int64_t>(buf->capacity()) * 4,
                             std::memory_order_relaxed);
@@ -78,9 +78,9 @@ void BufferPool::MaybeRecycle(std::vector<float>* buf, bool accounted) {
   State().buckets[buf->capacity()].push_back(std::move(*buf));
 }
 
-std::vector<float> BufferPool::CopyOf(const std::vector<float>& src) {
+FloatStorage BufferPool::CopyOf(const FloatStorage& src) {
   if (!Active()) return src;
-  std::vector<float> buf = Acquire(src.size());
+  FloatStorage buf = Acquire(src.size());
   buf.assign(src.begin(), src.end());
   return buf;
 }

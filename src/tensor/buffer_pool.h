@@ -3,9 +3,38 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 namespace rfed {
+
+/// Allocator whose no-argument construct() default-initializes: a float
+/// element created by resize() is left indeterminate instead of zeroed.
+/// Every other operation is std::allocator's.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+/// Tensor storage: a float vector that resize() does not zero, so a
+/// tensor a kernel overwrites in full skips the fill (Tensor::Uninitialized).
+/// Every other Tensor constructor writes each element explicitly.
+using FloatStorage = std::vector<float, DefaultInitAllocator<float>>;
 
 /// Thread-local recycling arena for Tensor storage.
 ///
@@ -24,9 +53,9 @@ namespace rfed {
 /// allocation count drops to O(1) (see docs/AUTOGRAD.md).
 ///
 /// Determinism: recycling changes *where* a buffer lives, never what is
-/// written to it — Tensor's constructors value-initialize recycled
-/// storage exactly as they would fresh storage — so pooled and unpooled
-/// runs are bit-identical.
+/// written to it — Tensor's constructors fill recycled storage exactly
+/// as they fill fresh storage — so pooled and unpooled runs are
+/// bit-identical.
 class BufferPool {
  public:
   /// RAII activation of the calling thread's pool. Scopes nest; the pool
@@ -47,7 +76,7 @@ class BufferPool {
   /// recycled when the freelist has an exact-size buffer, freshly
   /// reserved (counted as a heap allocation) otherwise. Requires an
   /// active scope.
-  static std::vector<float> Acquire(size_t n);
+  static FloatStorage Acquire(size_t n);
 
   /// Retires a tensor's storage. `accounted` is the owning Tensor's
   /// came-from-Acquire flag: accounted buffers subtract their bytes from
@@ -56,11 +85,11 @@ class BufferPool {
   /// the books on destruction). Independently, when a scope is active on
   /// the calling thread the storage is donated to its freelist; otherwise
   /// it falls to the ordinary heap free.
-  static void MaybeRecycle(std::vector<float>* buf, bool accounted);
+  static void MaybeRecycle(FloatStorage* buf, bool accounted);
 
   /// Copy helper for Tensor's copy constructor: an exact-size copy of
   /// `src` backed by pooled storage when a scope is active.
-  static std::vector<float> CopyOf(const std::vector<float>& src);
+  static FloatStorage CopyOf(const FloatStorage& src);
 
   /// High-water mark, in bytes, of Acquire()d storage whose owning
   /// tensor is still alive, across all threads since the last

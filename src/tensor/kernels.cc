@@ -264,6 +264,18 @@ void PlusZero(float* x, int64_t n) {
   for (int64_t i = 0; i < n; ++i) x[i] = 0.0f + x[i];
 }
 
+void Fill(float* x, int64_t n, float value) {
+  for (int64_t i = 0; i < n; ++i) x[i] = value;
+}
+
+void Scale(float* x, int64_t n, float s) {
+  for (int64_t i = 0; i < n; ++i) x[i] *= s;
+}
+
+void Axpy(float a, const float* x, int64_t n, float* y) {
+  for (int64_t i = 0; i < n; ++i) y[i] += a * x[i];
+}
+
 }  // namespace ref
 
 // ---- im2col / col2im ----
@@ -831,6 +843,18 @@ void MaxPool2x2BackwardKernel(const float* grad_out, const uint8_t* tap,
 
 void PlusZeroKernel(float* x, int64_t n) {
   if (n > 0) ActiveTable().plus_zero(x, n);
+}
+
+void FillKernel(float* x, int64_t n, float value) {
+  if (n > 0) ActiveTable().fill(x, n, value);
+}
+
+void ScaleKernel(float* x, int64_t n, float s) {
+  if (n > 0) ActiveTable().scale(x, n, s);
+}
+
+void AxpyKernel(float a, const float* x, int64_t n, float* y) {
+  if (n > 0) ActiveTable().axpy(a, x, n, y);
 }
 
 // ---- Serial conv references ----

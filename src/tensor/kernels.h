@@ -284,6 +284,23 @@ void MaxPool2x2BackwardKernel(const float* grad_out, const uint8_t* tap,
 /// instead of zero-filled and added to (GraphNode::AccumulateGrad).
 void PlusZeroKernel(float* x, int64_t n);
 
+// ---- Elementwise: fill, scale, axpy ----
+// No reduction, so every table is bit-identical to the ref:: loops by
+// construction: each element is one IEEE operation (or none) in both.
+// One exception: when both operands of one multiply or add are NaN,
+// which payload survives depends on the operand order the compiler
+// picked for the reference loop. The kernels keep the source order
+// (x * s, a * x, y + product); the tests never pair two NaNs.
+
+/// x[i] = value (its bits, NaN payloads and -0 included).
+void FillKernel(float* x, int64_t n, float value);
+/// x[i] = x[i] * s (Tensor::MulInPlace).
+void ScaleKernel(float* x, int64_t n, float s);
+/// y[i] = y[i] + (a * x[i]): the product rounded, then the sum — two
+/// roundings, never a fused multiply-add (Tensor::Axpy: the optimizer
+/// step and the FedAvg aggregate).
+void AxpyKernel(float a, const float* x, int64_t n, float* y);
+
 // ---- Canonical-order references ----
 // The scalar ground-truth kernels: portable, single-threaded, no
 // blocking, one std::fma(f) per reduction step — the canonical
@@ -329,6 +346,12 @@ void MaxPool2x2Backward(const float* grad_out, const uint8_t* tap,
                         int64_t rows, int64_t wo, float* dx);
 /// x[i] = 0.0f + x[i].
 void PlusZero(float* x, int64_t n);
+/// x[i] = value.
+void Fill(float* x, int64_t n, float value);
+/// x[i] *= s.
+void Scale(float* x, int64_t n, float s);
+/// y[i] += a * x[i], unfused.
+void Axpy(float a, const float* x, int64_t n, float* y);
 
 }  // namespace ref
 

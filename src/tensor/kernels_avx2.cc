@@ -352,6 +352,33 @@ void PlusZero(float* x, int64_t n) {
   for (; i < n; ++i) x[i] = 0.0f + x[i];
 }
 
+void Fill(float* x, int64_t n, float value) {
+  const __m256 v = _mm256_set1_ps(value);
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) _mm256_storeu_ps(x + i, v);
+  for (; i < n; ++i) x[i] = value;
+}
+
+void Scale(float* x, int64_t n, float s) {
+  const __m256 vs = _mm256_set1_ps(s);
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(x + i, _mm256_mul_ps(_mm256_loadu_ps(x + i), vs));
+  }
+  for (; i < n; ++i) x[i] *= s;
+}
+
+// mul then add: -ffp-contract=off keeps the pair from fusing into an fma.
+void Axpy(float a, const float* x, int64_t n, float* y) {
+  const __m256 va = _mm256_set1_ps(a);
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 prod = _mm256_mul_ps(va, _mm256_loadu_ps(x + i));
+    _mm256_storeu_ps(y + i, _mm256_add_ps(_mm256_loadu_ps(y + i), prod));
+  }
+  for (; i < n; ++i) y[i] += a * x[i];
+}
+
 }  // namespace
 
 const BlockedKernels* Avx2KernelsOrNull() {
@@ -369,6 +396,9 @@ const BlockedKernels* Avx2KernelsOrNull() {
       &MaxPoolForward,
       &MaxPoolBackward,
       &PlusZero,
+      &Fill,
+      &Scale,
+      &Axpy,
   };
   return &table;
 }

@@ -103,6 +103,10 @@ struct BlockedKernels {
   void (*maxpool2x2_bwd)(const float* grad_out, const uint8_t* tap,
                          int64_t rows, int64_t wo, float* dx);
   void (*plus_zero)(float* x, int64_t n);
+  /// The passes behind FillKernel, ScaleKernel and AxpyKernel.
+  void (*fill)(float* x, int64_t n, float value);
+  void (*scale)(float* x, int64_t n, float s);
+  void (*axpy)(float a, const float* x, int64_t n, float* y);
 };
 
 /// The portable table (always available; soft-fma, compiled at the

@@ -170,6 +170,18 @@ void PlusZero(float* x, int64_t n) {
   for (int64_t i = 0; i < n; ++i) x[i] = 0.0f + x[i];
 }
 
+void Fill(float* x, int64_t n, float value) {
+  for (int64_t i = 0; i < n; ++i) x[i] = value;
+}
+
+void Scale(float* x, int64_t n, float s) {
+  for (int64_t i = 0; i < n; ++i) x[i] *= s;
+}
+
+void Axpy(float a, const float* x, int64_t n, float* y) {
+  for (int64_t i = 0; i < n; ++i) y[i] += a * x[i];
+}
+
 }  // namespace
 
 const BlockedKernels& GenericKernels() {
@@ -187,6 +199,9 @@ const BlockedKernels& GenericKernels() {
       &MaxPoolForward,
       &MaxPoolBackward,
       &PlusZero,
+      &Fill,
+      &Scale,
+      &Axpy,
   };
   return table;
 }

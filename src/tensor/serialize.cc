@@ -52,11 +52,13 @@ Tensor DeserializeTensor(const std::vector<uint8_t>& buf, size_t* offset) {
   Shape shape(std::move(dims));
   const int64_t n = shape.num_elements();
   RFED_CHECK_LE(*offset + static_cast<size_t>(n) * sizeof(float), buf.size());
-  std::vector<float> data(static_cast<size_t>(n));
-  std::memcpy(data.data(), buf.data() + *offset,
-              static_cast<size_t>(n) * sizeof(float));
+  Tensor out = Tensor::Uninitialized(std::move(shape));
+  if (n > 0) {
+    std::memcpy(out.data(), buf.data() + *offset,
+                static_cast<size_t>(n) * sizeof(float));
+  }
   *offset += static_cast<size_t>(n) * sizeof(float);
-  return Tensor(std::move(shape), std::move(data));
+  return out;
 }
 
 }  // namespace rfed

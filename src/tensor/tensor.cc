@@ -1,30 +1,36 @@
 #include "tensor/tensor.h"
 
 #include <cmath>
+#include <cstring>
 
 #include "tensor/buffer_pool.h"
+#include "tensor/kernels.h"
 #include "util/check.h"
 #include "util/string_util.h"
 
 namespace rfed {
 namespace {
 
-// Pool-aware fill construction: an exact-size recycled buffer when a
-// BufferPool scope is active, a fresh heap vector otherwise. Every
-// element is written, so recycled content never leaks through. Zeros
-// come from value-initialization, which compiles to memset; the
-// general fill is an element loop at -O2.
-std::vector<float> FilledStorage(int64_t n, float value) {
+// Pool-aware storage of n indeterminate elements: an exact-size recycled
+// buffer when a BufferPool scope is active, a fresh heap vector
+// otherwise. FloatStorage's resize() does not zero.
+FloatStorage RawStorage(int64_t n) {
   const size_t count = static_cast<size_t>(n);
-  const bool zero = value == 0.0f && !std::signbit(value);
-  if (!BufferPool::Active()) {
-    return zero ? std::vector<float>(count) : std::vector<float>(count, value);
-  }
-  std::vector<float> buf = BufferPool::Acquire(count);
-  if (zero) {
-    buf.resize(count);
+  FloatStorage buf =
+      BufferPool::Active() ? BufferPool::Acquire(count) : FloatStorage();
+  buf.resize(count);
+  return buf;
+}
+
+// RawStorage with every element written, so recycled content never
+// leaks through. A +0 fill is a memset; any other value is the ISA
+// table's fill.
+FloatStorage FilledStorage(int64_t n, float value) {
+  FloatStorage buf = RawStorage(n);
+  if (value == 0.0f && !std::signbit(value)) {
+    if (!buf.empty()) std::memset(buf.data(), 0, buf.size() * sizeof(float));
   } else {
-    buf.assign(count, value);
+    FillKernel(buf.data(), n, value);
   }
   return buf;
 }
@@ -76,9 +82,22 @@ Tensor::Tensor(Shape shape, float value)
       data_(FilledStorage(shape_.num_elements(), value)),
       pooled_(BufferPool::Active()) {}
 
-Tensor::Tensor(Shape shape, std::vector<float> data)
-    : shape_(std::move(shape)), data_(std::move(data)) {
+Tensor::Tensor(Shape shape, const std::vector<float>& data)
+    : shape_(std::move(shape)),
+      data_(RawStorage(static_cast<int64_t>(data.size()))),
+      pooled_(BufferPool::Active()) {
   RFED_CHECK_EQ(static_cast<int64_t>(data_.size()), shape_.num_elements());
+  if (!data.empty()) {
+    std::memcpy(data_.data(), data.data(), data.size() * sizeof(float));
+  }
+}
+
+Tensor Tensor::Uninitialized(Shape shape) {
+  Tensor out;
+  out.data_ = RawStorage(shape.num_elements());
+  out.pooled_ = BufferPool::Active();
+  out.shape_ = std::move(shape);
+  return out;
 }
 
 Tensor Tensor::Uniform(Shape shape, float lo, float hi, Rng* rng) {
@@ -137,22 +156,18 @@ Tensor& Tensor::SubInPlace(const Tensor& other) {
 }
 
 Tensor& Tensor::MulInPlace(float scalar) {
-  for (float& v : data_) v *= scalar;
+  ScaleKernel(data_.data(), size(), scalar);
   return *this;
 }
 
 Tensor& Tensor::Axpy(float scalar, const Tensor& other) {
   RFED_CHECK(shape_ == other.shape_)
       << shape_.ToString() << " vs " << other.shape_.ToString();
-  for (size_t i = 0; i < data_.size(); ++i) {
-    data_[i] += scalar * other.data_[i];
-  }
+  AxpyKernel(scalar, other.data_.data(), size(), data_.data());
   return *this;
 }
 
-void Tensor::Fill(float value) {
-  for (float& v : data_) v = value;
-}
+void Tensor::Fill(float value) { FillKernel(data_.data(), size(), value); }
 
 float Tensor::Sum() const {
   double acc = 0.0;

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "tensor/buffer_pool.h"
 #include "tensor/shape.h"
 #include "util/rng.h"
 
@@ -40,8 +41,13 @@ class Tensor {
   /// Tensor of the given shape filled with `value`.
   Tensor(Shape shape, float value);
 
-  /// Tensor adopting the given data; data.size() must match the shape.
-  Tensor(Shape shape, std::vector<float> data);
+  /// Tensor holding a copy of `data`; data.size() must match the shape.
+  Tensor(Shape shape, const std::vector<float>& data);
+
+  /// Tensor whose elements are indeterminate (recycled or fresh storage,
+  /// never filled). Only for a caller that writes every element before
+  /// anything reads one — a kernel that overwrites its whole output.
+  static Tensor Uninitialized(Shape shape);
 
   static Tensor Zeros(Shape shape) { return Tensor(std::move(shape)); }
   static Tensor Full(Shape shape, float value) {
@@ -93,7 +99,7 @@ class Tensor {
 
  private:
   Shape shape_;
-  std::vector<float> data_;
+  FloatStorage data_;
   /// True iff data_ came from BufferPool::Acquire, i.e. its bytes are in
   /// the pool's outstanding counter and must be subtracted when this
   /// tensor dies — wherever that happens (see buffer_pool.h).

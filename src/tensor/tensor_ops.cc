@@ -178,13 +178,21 @@ Tensor MulRowBroadcast(const Tensor& x, const Tensor& scale) {
 
 Tensor SumRows(const Tensor& x) {
   RFED_CHECK_EQ(x.rank(), 2);
+  Tensor out(Shape{x.dim(1)});
+  AccumulateRows(x, &out);
+  return out;
+}
+
+void AccumulateRows(const Tensor& x, Tensor* sum) {
+  RFED_CHECK_EQ(x.rank(), 2);
   const int64_t rows = x.dim(0), cols = x.dim(1);
-  Tensor out(Shape{cols});
+  RFED_CHECK(sum->shape() == Shape({cols}))
+      << sum->shape().ToString() << " vs " << x.shape().ToString();
+  float* out = sum->data();
   for (int64_t r = 0; r < rows; ++r) {
     const float* row = x.data() + r * cols;
-    for (int64_t c = 0; c < cols; ++c) out.at(c) += row[c];
+    for (int64_t c = 0; c < cols; ++c) out[c] += row[c];
   }
-  return out;
 }
 
 Tensor LinearBiasReluForward(const Tensor& x, const Tensor& w,
@@ -326,7 +334,8 @@ Tensor MaxPool2x2Backward(const Tensor& grad_out, const Shape& input_shape,
   RFED_CHECK(input_shape == Shape({batch, ch, 2 * ho, 2 * wo}))
       << input_shape.ToString() << " vs " << grad_out.shape().ToString();
   RFED_CHECK_EQ(static_cast<int64_t>(taps.size()), grad_out.size());
-  Tensor dx(input_shape);
+  // The kernel writes every element of dx (kernels.h), so no zero fill.
+  Tensor dx = Tensor::Uninitialized(input_shape);
   MaxPool2x2BackwardKernel(grad_out.data(), taps.data(), batch * ch * ho, wo,
                            dx.data());
   return dx;

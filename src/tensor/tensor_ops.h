@@ -58,6 +58,9 @@ Tensor AddRowBroadcast(const Tensor& x, const Tensor& bias);
 Tensor MulRowBroadcast(const Tensor& x, const Tensor& scale);
 /// Column-sum of a [rows, cols] tensor -> [cols] (bias gradient).
 Tensor SumRows(const Tensor& x);
+/// sum[c] += x[r, c] for r ascending: SumRows continued across several
+/// row blocks, with the bits SumRows of their concatenation gives.
+void AccumulateRows(const Tensor& x, Tensor* sum);
 /// Fused y = relu(x · w + bias) for x [m, k], w [k, n], bias [n]: one
 /// GEMM plus an in-place bias+relu epilogue, saving the two intermediate
 /// tensors of the MatMul/AddRowBroadcast/Relu chain. Bit-identical to

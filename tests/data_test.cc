@@ -56,6 +56,24 @@ TEST(DatasetTest, GetAllCoversEverything) {
   EXPECT_EQ(all.size(), 6);
 }
 
+TEST(DatasetTest, LabelsOnlyKeepsLabelsAndGeometry) {
+  const Dataset images = TinyImageDataset(10, 5).LabelsOnly();
+  EXPECT_EQ(images.size(), 10);
+  EXPECT_EQ(images.ExampleShape(), Shape({1, 4, 4}));
+  EXPECT_EQ(images.ClassHistogram(), TinyImageDataset(10, 5).ClassHistogram());
+  const Dataset tokens =
+      Dataset({{1, 2}, {3, 4}, {5, 6}}, {0, 1, 0}, 2, 10).LabelsOnly();
+  EXPECT_EQ(tokens.size(), 3);
+  EXPECT_EQ(tokens.sequence_length(), 2);
+  EXPECT_EQ(tokens.labels(), (std::vector<int>{0, 1, 0}));
+}
+
+TEST(DatasetDeathTest, LabelsOnlyRefusesToMaterializeExamples) {
+  const Dataset images = TinyImageDataset(10, 5).LabelsOnly();
+  EXPECT_DEATH(images.GetBatch({0}), "labels-only dataset");
+  EXPECT_DEATH(images.GetAll(), "labels-only dataset");
+}
+
 TEST(BatcherTest, EpochCoversAllIndices) {
   Dataset data = TinyImageDataset(10, 2);
   std::vector<int> view{0, 2, 4, 6, 8};

@@ -649,6 +649,47 @@ TEST_F(KernelTest, PlusZeroMatchesReferenceBitwise) {
   }
 }
 
+TEST_F(KernelTest, FillScaleAxpyMatchReferenceBitwise) {
+  const float nan_payload = BitsToFloat(0x7fc0beefu);
+  for (int64_t n : kElementwiseSizes) {
+    for (int64_t start : kUnalignedStarts) {
+      const std::vector<float> x = ElementwiseInput(n + start, 34);
+      // y's edge values sit one slot off x's, so no add pairs two NaNs.
+      const std::vector<float> ybase = ElementwiseInput(n + start + 1, 35);
+      const std::vector<float> y(ybase.begin() + 1, ybase.end());
+      for (KernelIsa isa : TestableIsas()) {
+        KernelOptions o;
+        o.isa = isa;
+        SetKernelOptions(o);
+        const std::string name = std::string("isa=") + KernelIsaName(isa) +
+                                 " n=" + std::to_string(n) +
+                                 " start=" + std::to_string(start);
+        for (float value : {1.5f, -0.0f, nan_payload}) {
+          std::vector<float> want = x, got = x;
+          ref::Fill(want.data() + start, n, value);
+          FillKernel(got.data() + start, n, value);
+          EXPECT_TRUE(SameBits(want.data(), got.data(), n + start))
+              << "fill " << value << " " << name;
+        }
+        for (float s : {-1.75f, 0.0f, 3e38f}) {
+          std::vector<float> want = x, got = x;
+          ref::Scale(want.data() + start, n, s);
+          ScaleKernel(got.data() + start, n, s);
+          EXPECT_TRUE(SameBits(want.data(), got.data(), n + start))
+              << "scale " << s << " " << name;
+        }
+        for (float a : {-0.37f, 0.0f, 2e38f}) {
+          std::vector<float> want = y, got = y;
+          ref::Axpy(a, x.data() + start, n, want.data() + start);
+          AxpyKernel(a, x.data() + start, n, got.data() + start);
+          EXPECT_TRUE(SameBits(want.data(), got.data(), n + start))
+              << "axpy " << a << " " << name;
+        }
+      }
+    }
+  }
+}
+
 /// A pool input whose windows cycle through the cases the tap order
 /// decides: four equal taps, +0/-0 ties both ways round, a NaN in each
 /// tap position (alone, and against a larger value), two NaNs, infinite

@@ -400,11 +400,22 @@ net::TcpConnection RetryConnect(int port) {
 // reassigns whatever jobs the dead connections still owed. The final
 // model and the masked CSV must STILL be byte-identical to the fault-free
 // in-process oracle — worker death is invisible to the trajectory.
+//
+// Workers are started one at a time, so worker w owns connection w and
+// the plans are deterministic. With 4 clients on 3 workers, workers 1
+// and 2 host only clients 1 and 2, so in round 0 their links carry
+// HELLO, one training RESULT, then (rFedAvg+) one MAP RESULT. The
+// chaos_rfp_map row kills worker 1 once its training RESULT is through,
+// with its MAP JOB still to come, and kills worker 2 on the MAP RESULT
+// frame itself, leaving any other MAP job it held to be reassigned.
 TEST(ServeChaos, WorkerKillsMatrixMatchesOracle) {
   const struct {
     const char* method;
     const char* tag;
-  } kMethods[] = {{"FedAvg", "chaos_fedavg"}, {"rFedAvg+", "chaos_rfp"}};
+    int64_t kill_after_frames[3];  ///< per connection; -1 = no kill
+  } kMethods[] = {{"FedAvg", "chaos_fedavg", {2, 3, -1}},
+                  {"rFedAvg+", "chaos_rfp", {2, 3, -1}},
+                  {"rFedAvg+", "chaos_rfp_map", {-1, 2, 3}}};
   for (const auto& m : kMethods) {
     const std::vector<std::string> scenario = TinyScenarioFlags(m.method, 3);
     const std::string oracle_csv = TempPath(std::string(m.tag) + "_oracle.csv");
@@ -433,18 +444,29 @@ TEST(ServeChaos, WorkerKillsMatrixMatchesOracle) {
       ASSERT_GT(port, 0) << "server never published its port";
 
       net::FaultProxy proxy("127.0.0.1", port);
-      // Seeded kill plan: whichever workers land on connections 0 and 1
-      // die after forwarding their HELLO plus one / two RESULT frames.
-      // Rejoin connections get fresh indices with no plan and survive.
-      net::FaultPlan kill_early;
-      kill_early.kill_after_frames = 2;
-      proxy.SetPlan(0, kill_early);
-      net::FaultPlan kill_later;
-      kill_later.kill_after_frames = 3;
-      proxy.SetPlan(1, kill_later);
+      // Kill plans: worker w dies after forwarding kill_after_frames[w]
+      // frames (HELLO included). Rejoin connections get fresh indices
+      // with no plan and survive.
+      for (int c = 0; c < 3; ++c) {
+        if (m.kill_after_frames[c] < 0) continue;
+        net::FaultPlan kill;
+        kill.kill_after_frames = m.kill_after_frames[c];
+        proxy.SetPlan(c, kill);
+      }
 
       std::vector<pid_t> workers;
       for (int w = 0; w < 3; ++w) {
+        if (w > 0) {
+          // Worker w-1 has connected: the next accept index is w's.
+          const auto give_up =
+              std::chrono::steady_clock::now() + std::chrono::seconds(20);
+          while (proxy.accepted_connections() < w &&
+                 std::chrono::steady_clock::now() < give_up) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+          }
+          ASSERT_GE(proxy.accepted_connections(), w)
+              << "worker " << w - 1 << " never connected";
+        }
         std::vector<std::string> worker_args = scenario;
         worker_args.insert(
             worker_args.end(),
@@ -538,6 +560,159 @@ TEST(ServeLoopback, InProcessWorkerThreadMatchesOracle) {
   SaveTensorToFile(oracle.algorithm->global_state(), oracle_model);
   SaveTensorToFile(server_side.algorithm->global_state(), serve_model);
   ExpectFilesIdentical(serve_model, oracle_model);
+}
+
+// rFedAvg+'s second synchronization runs on the workers that hold the
+// data: a server whose training set is labels-only — GetBatch aborts —
+// still produces the sim oracle's trajectory byte for byte, over two
+// in-process workers.
+TEST(ServeLoopback, LabelsOnlyServerMatchesOracle) {
+  const std::vector<std::string> flags = TinyScenarioFlags("rFedAvg+", 3);
+  TrainerOptions options;
+  options.eval_every = 1;
+  options.eval_max_examples = 400;
+
+  serve::Scenario oracle = BuildFromArgs(flags);
+  FederatedTrainer oracle_trainer(oracle.algorithm.get(), oracle.test.get(),
+                                  options);
+  RunHistory oracle_history = oracle_trainer.Run(oracle.rounds);
+
+  serve::Scenario server_side = BuildFromArgs(flags);
+  // The algorithm reads the training set through this object.
+  *server_side.train = server_side.train->LabelsOnly();
+  constexpr int kWorkers = 2;
+  std::vector<serve::Scenario> worker_sides;
+  for (int w = 0; w < kWorkers; ++w) {
+    worker_sides.push_back(BuildFromArgs(flags));
+  }
+  std::vector<uint8_t> state_blob;
+  server_side.algorithm->SaveRunState(&state_blob);
+
+  net::TcpListener listener("127.0.0.1", 0);
+  const int port = listener.bound_port();
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([&, w] {
+      net::TcpConnection conn = RetryConnect(port);
+      if (!conn.valid()) {
+        ADD_FAILURE() << "worker thread " << w << " could not connect";
+        return;
+      }
+      EXPECT_TRUE(serve::RunWorkerLoop(
+                      worker_sides[static_cast<size_t>(w)].algorithm.get(),
+                      &conn, w, kWorkers,
+                      worker_sides[static_cast<size_t>(w)].fingerprint)
+                      .clean_shutdown);
+    });
+  }
+  serve::RemoteExecutor executor(/*pipelined=*/true);
+  executor.AcceptWorkers(&listener, kWorkers, server_side.fingerprint,
+                         state_blob);
+  server_side.algorithm->set_train_executor(&executor);
+  FederatedTrainer serve_trainer(server_side.algorithm.get(),
+                                 server_side.test.get(), options);
+  RunHistory serve_history = serve_trainer.Run(server_side.rounds);
+  executor.Shutdown();
+  for (std::thread& t : workers) t.join();
+
+  // A training job and a MAP job per client per round.
+  EXPECT_EQ(executor.stats().jobs_sent, 2 * 4 * server_side.rounds);
+  EXPECT_EQ(executor.stats().results_received, executor.stats().jobs_sent);
+
+  const std::string oracle_csv = TempPath("labels_only_oracle.csv");
+  const std::string serve_csv = TempPath("labels_only_serve.csv");
+  SaveHistoryCsv(oracle_history, oracle_csv);
+  SaveHistoryCsv(serve_history, serve_csv);
+  ExpectCsvEquivalent(serve_csv, oracle_csv);
+
+  const std::string oracle_model = TempPath("labels_only_oracle.model");
+  const std::string serve_model = TempPath("labels_only_serve.model");
+  SaveTensorToFile(oracle.algorithm->global_state(), oracle_model);
+  SaveTensorToFile(server_side.algorithm->global_state(), serve_model);
+  ExpectFilesIdentical(serve_model, oracle_model);
+}
+
+// ---- duplicate RESULTs ----
+
+/// A hand-driven worker 0 of 1: handshakes with `fingerprint`, then
+/// answers every JOB by echoing its state in one RESULT per entry of
+/// `losses` (the copies differ only in the loss they report), until
+/// SHUTDOWN or EOF.
+void RunScriptedWorker(int port, uint64_t fingerprint,
+                       const std::vector<double>& losses) {
+  net::TcpConnection conn = RetryConnect(port);
+  if (!conn.valid()) return;
+  serve::HelloMessage hello;
+  hello.worker_id = 0;
+  hello.num_workers = 1;
+  hello.fingerprint = fingerprint;
+  net::SendFrame(&conn, net::FrameType::kHello, hello.Encode());
+  net::FrameAssembler assembler;
+  net::Frame frame;
+  net::RecvFrame(&conn, &assembler, &frame);  // HELLO_ACK
+  while (net::RecvFrame(&conn, &assembler, &frame) &&
+         frame.type == net::FrameType::kJob) {
+    const serve::JobMessage job = serve::JobMessage::Decode(frame.payload);
+    for (double loss : losses) {
+      serve::ResultMessage result;
+      result.seq = job.seq;
+      result.round = job.round;
+      result.client = job.client;
+      result.loss = loss;
+      result.upload.kind = FlMessage::Kind::kModelUpload;
+      result.upload.round = job.round;
+      result.upload.sender = job.client;
+      result.upload.payload.push_back(job.download.payload[0]);
+      net::SendFrame(&conn, net::FrameType::kResult, result.Encode());
+    }
+  }
+}
+
+// Each job is answered twice with identical bytes. The late copy of
+// round 0's first job for client 3 arrives while the executor waits on
+// the second job for the same (round, client) — the shape of a training
+// job's duplicate racing that round's MAP job. It is checked and
+// dropped; the second job completes only with its own RESULT.
+TEST(ServeDuplicates, IdenticalDuplicateIsDroppedAndCompletesNoOtherJob) {
+  constexpr uint64_t kFingerprint = 42;
+  net::TcpListener listener("127.0.0.1", 0);
+  const int port = listener.bound_port();
+  std::thread worker(
+      [port] { RunScriptedWorker(port, kFingerprint, {0.5, 0.5}); });
+  serve::RemoteExecutor executor(/*pipelined=*/false);
+  executor.AcceptWorkers(&listener, 1, kFingerprint, {});
+  executor.Submit(0, 3, Tensor(Shape{4}, 1.0f), {}, {});
+  const auto first = executor.Collect(0, 3);
+  executor.Submit(0, 3, Tensor(Shape{4}, 2.0f), {}, {});
+  const auto second = executor.Collect(0, 3);
+  executor.Shutdown();
+  worker.join();
+  EXPECT_EQ(first.first.at(0), 1.0f);
+  EXPECT_EQ(second.first.at(0), 2.0f);
+  EXPECT_EQ(first.second, 0.5);
+  EXPECT_EQ(executor.stats().jobs_sent, 2);
+  EXPECT_EQ(executor.stats().results_received, 2);
+}
+
+// A duplicate whose bytes differ from the accepted copy means a replica
+// computed something else for the same job: abort, naming it.
+TEST(ServeDuplicatesDeathTest, MismatchingDuplicateAborts) {
+  EXPECT_DEATH(
+      {
+        constexpr uint64_t kFingerprint = 42;
+        net::TcpListener listener("127.0.0.1", 0);
+        const int port = listener.bound_port();
+        std::thread worker(
+            [port] { RunScriptedWorker(port, kFingerprint, {0.5, 0.25}); });
+        serve::RemoteExecutor executor(/*pipelined=*/false);
+        executor.AcceptWorkers(&listener, 1, kFingerprint, {});
+        executor.Submit(0, 3, Tensor(Shape{4}, 1.0f), {}, {});
+        executor.Collect(0, 3);
+        executor.Submit(1, 3, Tensor(Shape{4}, 2.0f), {}, {});
+        executor.Collect(1, 3);
+        worker.join();
+      },
+      "duplicate RESULT for round 0 client 3 .* from worker 0 differs");
 }
 
 // A worker whose scenario flags differ (here: a different seed) must be

@@ -335,6 +335,149 @@ TEST(TapeTest, CnnAllocsPerStepReachZeroAfterWarmup) {
   }
 }
 
+// ---- Inference mode (ag::NoGradScope) ----
+
+struct ForwardValues {
+  Tensor features;
+  Tensor logits;
+};
+
+ForwardValues RunForward(FeatureModel* model, const Batch& batch,
+                         bool no_grad) {
+  std::unique_ptr<ag::NoGradScope> scope;
+  if (no_grad) scope = std::make_unique<ag::NoGradScope>();
+  ModelOutput out = model->Forward(batch);
+  return {out.features.value(), out.logits.value()};
+}
+
+void ExpectSameBytes(const Tensor& a, const Tensor& b,
+                     const std::string& what) {
+  ASSERT_EQ(a.shape(), b.shape()) << what;
+  EXPECT_EQ(0, std::memcmp(a.data(), b.data(),
+                           static_cast<size_t>(a.size()) * sizeof(float)))
+      << what;
+}
+
+TEST(NoGradTest, CnnMlpLstmForwardsMatchGraphBuildingForwardsBytewise) {
+  Rng rng(515);
+  Batch images;
+  images.images = Tensor::Normal(Shape{6, 1, 12, 12}, 0, 1, &rng);
+  images.labels = {0, 1, 2, 3, 4, 5};
+  CnnConfig cc;
+  cc.conv1_channels = 2;
+  cc.conv2_channels = 4;
+  cc.feature_dim = 8;
+  MlpConfig mc;
+  mc.hidden_dim = 16;
+  mc.feature_dim = 8;
+  LstmConfig lc;
+  lc.vocab_size = 32;
+  lc.embed_dim = 4;
+  lc.hidden_dim = 8;
+  lc.feature_dim = 8;
+  const Batch tokens = FixedTokenBatch(6, 8, 32, 516);
+  const std::unique_ptr<FeatureModel> cnn =
+      std::make_unique<CnnModel>(cc, &rng);
+  const std::unique_ptr<FeatureModel> mlp =
+      std::make_unique<MlpModel>(mc, &rng);
+  const std::unique_ptr<FeatureModel> lstm =
+      std::make_unique<LstmModel>(lc, &rng);
+  const struct {
+    const char* name;
+    FeatureModel* model;
+    const Batch* batch;
+  } kCases[] = {{"cnn", cnn.get(), &images},
+                {"mlp", mlp.get(), &images},
+                {"lstm", lstm.get(), &tokens}};
+  for (const auto& c : kCases) {
+    const ForwardValues graph = RunForward(c.model, *c.batch, false);
+    const ForwardValues inference = RunForward(c.model, *c.batch, true);
+    ExpectSameBytes(graph.features, inference.features,
+                    std::string(c.name) + " features");
+    ExpectSameBytes(graph.logits, inference.logits,
+                    std::string(c.name) + " logits");
+  }
+}
+
+TEST(NoGradTest, ForwardRecordsNoTapeNodeAndStepsStayAllocationFree) {
+  // A training bout with an inference forward inside the recording step
+  // and another after every step (as an evaluation between steps would
+  // run): the session records and replays only the training graph, and
+  // replayed steps still perform no heap tensor allocations.
+  Rng rng(517);
+  MlpConfig mc;
+  mc.hidden_dim = 16;
+  mc.feature_dim = 8;
+  auto model = std::make_unique<MlpModel>(mc, &rng);
+  Batch batch;
+  batch.images = Tensor::Normal(Shape{4, 1, 12, 12}, 0, 1, &rng);
+  batch.labels = {1, 3, 5, 7};
+
+  ag::TapeSession session({/*static_graph=*/true, /*checkpoint=*/false});
+  std::vector<int64_t> allocs;
+  for (int step = 0; step < 6; ++step) {
+    const int64_t before = BufferPool::ThreadAllocCount();
+    ag::ReplayBindings bind{&batch.images, &batch.tokens, &batch.labels};
+    Variable loss;
+    if (session.CanReplay(bind)) {
+      loss = session.Replay(bind);
+    } else {
+      session.BeginRecord(bind);
+      ModelOutput out = model->Forward(batch);
+      loss = CrossEntropyLoss(out.logits, batch.labels);
+      {
+        ag::NoGradScope no_grad;
+        ModelOutput probe = model->Forward(batch);
+        const std::shared_ptr<GraphNode> node = probe.logits.node();
+        // Held by `probe` and `node` only: the recording session took
+        // no reference, and the node keeps no graph behind it.
+        EXPECT_EQ(node.use_count(), 2);
+        EXPECT_TRUE(node->inputs.empty());
+        EXPECT_FALSE(node->backward_fn);
+        EXPECT_FALSE(node->forward_fn);
+        EXPECT_FALSE(node->requires_grad());
+      }
+      session.EndRecord(loss);
+    }
+    model->ZeroGrad();
+    loss.Backward();
+    {
+      ag::NoGradScope no_grad;
+      model->Forward(batch);
+    }
+    allocs.push_back(BufferPool::ThreadAllocCount() - before);
+  }
+  EXPECT_EQ(session.rebuilds(), 1);
+  EXPECT_EQ(session.reuse_hits(), 5);
+  for (size_t step = 2; step < allocs.size(); ++step) {
+    EXPECT_EQ(allocs[step], 0) << "replayed step " << step << " allocated";
+  }
+}
+
+TEST(NoGradTest, ActivationIsFreedOnceItsConsumerRan) {
+  Rng rng(518);
+  Variable x = Leaf(Tensor::Normal(Shape{3, 5}, 0, 1, &rng));
+  Variable w = Leaf(Tensor::Normal(Shape{5, 4}, 0, 1, &rng));
+  std::weak_ptr<GraphNode> product;
+  Variable y;
+  {
+    ag::NoGradScope no_grad;
+    Variable p = ag::MatMul(x, w);
+    product = p.node();
+    y = ag::Relu(p);
+  }
+  EXPECT_TRUE(product.expired());
+  EXPECT_FALSE(y.requires_grad());
+
+  // Outside the scope the consumer keeps its input alive for backward.
+  Variable p = ag::MatMul(x, w);
+  product = p.node();
+  Variable z = ag::Relu(p);
+  p = Variable();
+  EXPECT_FALSE(product.expired());
+  EXPECT_TRUE(z.requires_grad());
+}
+
 // ---- Federated byte-identity across execution strategies ----
 
 std::vector<ClientView> ViewsOf(const ClientSplit& split) {

@@ -1,7 +1,11 @@
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include <gtest/gtest.h>
 
+#include "tensor/buffer_pool.h"
+#include "tensor/kernels.h"
 #include "tensor/tensor_ops.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -225,6 +229,32 @@ TEST(MaxPoolTest, BackwardRoutesToArgmax) {
   Tensor grad_out(Shape{1, 1, 1, 1}, {2.5f});
   Tensor dx = MaxPool2x2Backward(grad_out, x.shape(), argmax);
   EXPECT_TRUE(AllClose(dx, Tensor(Shape{1, 1, 2, 2}, {0, 2.5f, 0, 0}), 0.0f));
+}
+
+TEST(MaxPoolTest, BackwardIgnoresGarbageInRecycledStorage) {
+  // dx comes from uninitialized storage the kernel overwrites in full:
+  // a recycled buffer full of NaNs must give the zero-filled
+  // reference's bits.
+  Rng rng(41);
+  const Shape in_shape{3, 2, 6, 8};
+  Tensor x = Tensor::Normal(in_shape, 0, 1, &rng);
+  std::vector<uint8_t> taps;
+  Tensor y = MaxPool2x2Forward(x, &taps);
+  Tensor grad_out = Tensor::Normal(y.shape(), 0, 1, &rng);
+  Tensor want(in_shape);
+  ref::MaxPool2x2Backward(grad_out.data(), taps.data(), 3 * 2 * 3, 4,
+                          want.data());
+
+  BufferPool::Scope scope;
+  const float* garbage_storage = nullptr;
+  {
+    Tensor garbage(in_shape, std::numeric_limits<float>::quiet_NaN());
+    garbage_storage = garbage.data();
+  }  // donated to the pool's freelist
+  Tensor dx = MaxPool2x2Backward(grad_out, in_shape, taps);
+  ASSERT_EQ(dx.data(), garbage_storage) << "dx did not reuse the buffer";
+  EXPECT_EQ(0, std::memcmp(dx.data(), want.data(),
+                           static_cast<size_t>(want.size()) * sizeof(float)));
 }
 
 TEST(GatherScatterTest, GatherRowsSelects) {
