@@ -3,11 +3,9 @@
 // on the GEMM and convolution shapes the paper's models actually hit,
 // and writes the table as BENCH_kernels.json (GFLOP/s plus
 // speedup-vs-seed per shape and thread count; GB/s for the elementwise
-// ReLU and max-pool rows; see docs/KERNELS.md for how to read it). Every case first asserts the optimized kernel is
-// bit-identical to its reference before any timing. Each case is also
-// timed once with the per-shape autotuner live (single thread, enough
-// warmup calls that every shape commits its winning tile before the
-// measured windows), and the committed tile is recorded.
+// ReLU and max-pool rows; see docs/KERNELS.md for how to read it).
+// Every case first asserts the optimized kernel is bit-identical to its
+// reference before any timing.
 //
 // Caveat for absolute speedups: the reference baseline is the *fused*
 // canonical reference (std::fmaf per step), which compiles to a libm
@@ -36,7 +34,6 @@
 #include <thread>
 #include <vector>
 
-#include "tensor/autotune.h"
 #include "tensor/kernels.h"
 #include "util/flags.h"
 #include "util/rng.h"
@@ -446,13 +443,6 @@ struct Result {
   double ref_ms = 0.0;
   double ref_gflops = 0.0;  ///< Rate(), as Timing::gflops
   std::vector<Timing> opt;
-  // Single-thread timing with the autotuner's committed pick live, plus
-  // that pick when the case maps to one tuned (op, shape) key. Conv
-  // cases run fixed conv tiles the tuner does not touch, so they record
-  // the timing but no tile.
-  Timing tuned{};
-  bool tuned_tile_known = false;
-  TileConfig tuned_tile;
 };
 
 void SetThreads(int threads) {
@@ -537,18 +527,7 @@ void WriteJson(const std::string& path, const std::vector<Result>& results,
                    ot.threads, ot.ms, rate, ot.gflops, ot.speedup,
                    t + 1 < r.opt.size() ? "," : "");
     }
-    std::fprintf(f, "      ],\n");
-    std::fprintf(f,
-                 "      \"autotuned\": {\"threads\": 1, \"ms\": %.4f, "
-                 "\"%s\": %.3f, \"speedup_vs_seed\": %.3f, \"tile\": ",
-                 r.tuned.ms, rate, r.tuned.gflops, r.tuned.speedup);
-    if (r.tuned_tile_known) {
-      std::fprintf(f, "{\"block_m\": %d, \"block_k\": %d, \"block_n\": %d}}\n",
-                   r.tuned_tile.block_m, r.tuned_tile.block_k,
-                   r.tuned_tile.block_n);
-    } else {
-      std::fprintf(f, "null}\n");
-    }
+    std::fprintf(f, "      ]\n");
     std::fprintf(f, "    }%s\n", i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -604,52 +583,12 @@ int Main(int argc, char** argv) {
       t.speedup = r.ref_ms / t.ms;
       r.opt.push_back(t);
     }
-    // Autotuned single-thread timing: fresh tuner, one sample per
-    // candidate, and enough warmup calls that every (op, shape) this
-    // case touches commits before the measured windows (pure GEMM cases
-    // touch one key; conv cases touch none).
-    {
-      SetThreads(1);
-      AutotuneConfig tune;
-      tune.enabled = true;
-      tune.samples_per_candidate = 1;
-      SetAutotuneConfig(tune);
-      ResetAutotuneForTest();
-      const size_t warmups =
-          2 + AutotuneCandidates(AutotuneOp::kGemmAdd).size() +
-          AutotuneCandidates(AutotuneOp::kGemmTransB).size();
-      for (size_t i = 0; i < warmups; ++i) wb.Run(c, true);
-      r.tuned.threads = 1;
-      r.tuned.ms = TimeMs([&] { wb.Run(c, true); }, min_ms);
-      r.tuned.gflops = Rate(c, r.tuned.ms);
-      r.tuned.speedup = r.ref_ms / r.tuned.ms;
-      // Read the committed pick back for the single-key GEMM cases.
-      const char* isa = KernelIsaName(ActiveKernelIsa());
-      AutotuneTrial trial = 1;
-      if (c.kind == Kind::kGemmAdd) {
-        r.tuned_tile =
-            AutotunePick(AutotuneOp::kGemmAdd, isa, c.m, c.k, c.n, &trial);
-      } else if (c.kind == Kind::kGemmTransA) {
-        // TransA transposes then runs GemmAdd on (k, m, n).
-        r.tuned_tile =
-            AutotunePick(AutotuneOp::kGemmAdd, isa, c.k, c.m, c.n, &trial);
-      } else if (c.kind == Kind::kGemmTransB) {
-        r.tuned_tile =
-            AutotunePick(AutotuneOp::kGemmTransB, isa, c.m, c.n, c.k, &trial);
-      }
-      r.tuned_tile_known =
-          c.kind != Kind::kConvFwd && c.kind != Kind::kConvBwd && trial == 0;
-      SetAutotuneConfig(AutotuneConfig{});
-      ResetAutotuneForTest();
-    }
     const char* unit = IsElementwise(c.kind) ? "GB/s" : "GF/s";
     std::printf("%-18s %-18s ref %8.3f ms (%6.2f %s)", c.name,
                 KindName(c.kind), r.ref_ms, r.ref_gflops, unit);
     for (const Timing& t : r.opt) {
       std::printf("  t%d %8.3f ms (%5.2fx)", t.threads, t.ms, t.speedup);
     }
-    std::printf("  tuned %8.3f ms (%6.2f %s)", r.tuned.ms, r.tuned.gflops,
-                unit);
     std::printf("%s\n", c.acceptance ? "  [acceptance]" : "");
     results.push_back(std::move(r));
   }

@@ -13,7 +13,6 @@
 #include "nn/loss.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "tensor/autotune.h"
 #include "tensor/buffer_pool.h"
 #include "tensor/kernels.h"
 #include "util/check.h"
@@ -139,15 +138,6 @@ FederatedAlgorithm::FederatedAlgorithm(std::string name, const FlConfig& config,
   // Intra-op kernel parallelism (tensor/kernels.h). Results are
   // bit-identical for every thread count, so this only affects speed.
   SetKernelThreads(config_.kernel_threads);
-  // Same contract for the tile autotuner: every candidate it may pick
-  // computes the canonical summation order, so enabling it never
-  // changes a run's bytes, only its wall time.
-  {
-    AutotuneConfig tune;
-    tune.enabled = config_.kernel_autotune;
-    tune.cache_file = config_.kernel_autotune_cache;
-    SetAutotuneConfig(tune);
-  }
   // Tracing is process-global; the flag only ever turns it on so that a
   // traced run is never silently disabled by a second algorithm instance.
   if (config_.trace) obs::EnableTracing(true);

@@ -27,7 +27,7 @@ inline constexpr uint64_t kMaxFramePayloadBytes = uint64_t{1} << 31;
 /// machine). Values are wire format — never renumber.
 enum class FrameType : uint32_t {
   kHello = 1,        ///< worker -> server: identity + scenario fingerprint
-  kHelloAck = 2,     ///< server -> worker: mode + algorithm state blob
+  kHelloAck = 2,     ///< server -> worker: algorithm state blob
   kJob = 3,          ///< server -> worker: train this client for this round
   kResult = 4,       ///< worker -> server: trained state + loss
   kShutdown = 5,     ///< server -> worker: drain and exit cleanly

@@ -61,7 +61,6 @@ HelloMessage HelloMessage::Decode(const std::vector<uint8_t>& payload) {
 std::vector<uint8_t> HelloAckMessage::Encode() const {
   std::vector<uint8_t> out;
   CheckpointWriter writer(&out);
-  writer.WriteBool(pipelined);
   WriteBlob(&writer, state);
   return out;
 }
@@ -69,7 +68,6 @@ std::vector<uint8_t> HelloAckMessage::Encode() const {
 HelloAckMessage HelloAckMessage::Decode(const std::vector<uint8_t>& payload) {
   CheckpointReader reader(payload);
   HelloAckMessage out;
-  out.pipelined = reader.ReadBool();
   out.state = ReadBlob(&reader);
   RFED_CHECK(reader.AtEnd()) << "trailing bytes in HELLO_ACK";
   return out;

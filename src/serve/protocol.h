@@ -30,13 +30,11 @@ struct HelloMessage {
   static HelloMessage Decode(const std::vector<uint8_t>& payload);
 };
 
-/// Server -> worker, completing the handshake: whether rounds are
-/// pipelined and the algorithm state blob (SaveRunState) the worker
-/// replica restores before serving jobs — this is how resumed runs and
-/// fresh runs alike put every replica at the server's exact RNG/batcher
-/// positions.
+/// Server -> worker, completing the handshake: the algorithm state blob
+/// (SaveRunState) the worker replica restores before serving jobs — this
+/// is how resumed runs and fresh runs alike put every replica at the
+/// server's exact RNG/batcher positions.
 struct HelloAckMessage {
-  bool pipelined = false;
   std::vector<uint8_t> state;
 
   std::vector<uint8_t> Encode() const;

@@ -46,7 +46,7 @@ void RemoteExecutor::AcceptWorkers(net::TcpListener* listener,
   fingerprint_ = fingerprint;
   initial_state_ = state_blob;
   workers_.resize(static_cast<size_t>(num_workers));
-  const HelloAckMessage ack{options_.pipelined, state_blob};
+  const HelloAckMessage ack{state_blob};
   const std::vector<uint8_t> ack_payload = ack.Encode();
   for (int accepted = 0; accepted < num_workers; ++accepted) {
     net::TcpConnection conn = listener->Accept();
@@ -450,7 +450,7 @@ void RemoteExecutor::AcceptRejoin() {
       << options_.max_worker_restarts << ") exhausted";
   const std::vector<uint8_t> state =
       state_provider_ ? state_provider_() : initial_state_;
-  const HelloAckMessage ack{options_.pipelined, state};
+  const HelloAckMessage ack{state};
   const std::vector<uint8_t> ack_payload = ack.Encode();
   // The rejoiner dying between connect and ACK is tolerated like any
   // other mid-handshake loss; the budget is only charged on success.

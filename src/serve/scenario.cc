@@ -104,10 +104,6 @@ Checkpoint / resume (bit-identical crash recovery; all [exempt]):
 Parallelism (bit-identical at any setting; all [exempt]):
   --num_threads parallel local training (1 = sequential)
   --kernel_threads intra-op GEMM/conv threads (1 = serial kernels)
-  --kernel_autotune benchmark tile candidates per GEMM shape and keep
-      the winner (false; all candidates bit-identical, docs/PERFORMANCE.md)
-  --kernel_autotune_cache PATH persist winning tiles across runs
-      (requires --kernel_autotune; corrupt/stale caches abort)
 
 Autograd (bit-identical at any setting; docs/AUTOGRAD.md; all [exempt]):
   --autograd_static record each client bout's step-0 graph and replay it
@@ -139,10 +135,10 @@ Serve failure handling (rfed_server; docs/DEPLOYMENT.md; all [exempt]):
 // Flags that direct artifacts or set how fast and where a job runs, never
 // what it computes. Every other flag BuildScenario reads is fingerprinted.
 const char* const kFingerprintExempt[] = {
-    "csv_out",         "checkpoint_path",     "resume_from",
-    "checkpoint_every", "num_threads",        "kernel_threads",
-    "kernel_autotune", "kernel_autotune_cache", "autograd_static",
-    "grad_checkpoint", "worker_timeout_ms",   "max_worker_restarts"};
+    "csv_out",         "checkpoint_path",   "resume_from",
+    "checkpoint_every", "num_threads",      "kernel_threads",
+    "autograd_static", "grad_checkpoint",   "worker_timeout_ms",
+    "max_worker_restarts"};
 
 // Reads an enumerated flag whose default is the first choice; aborts on
 // any value outside `choices`.
@@ -223,8 +219,6 @@ Scenario BuildScenario(const FlagParser& flags) {
       << "unknown --aggregator " << fl.robust.aggregator;
   fl.num_threads = flags.GetInt("num_threads", 1);
   fl.kernel_threads = flags.GetInt("kernel_threads", 1);
-  fl.kernel_autotune = flags.GetBool("kernel_autotune", false);
-  fl.kernel_autotune_cache = flags.GetString("kernel_autotune_cache", "");
   fl.autograd.static_graph = flags.GetBool("autograd_static", true);
   fl.autograd.checkpoint = flags.GetBool("grad_checkpoint", false);
   fl.shard_fanout = flags.GetInt("shard_fanout", 0);

@@ -48,12 +48,12 @@ struct Scenario {
 
   /// FNV-1a over "key=value" for every flag BuildScenario read, with its
   /// resolved value, minus a short exempt list (output paths, resume and
-  /// checkpoint cadence, thread/autotune/autograd knobs, the failure
-  /// knobs above) that never changes what a job computes. Workers send it
-  /// in HELLO; the server refuses a handshake whose fingerprint differs
-  /// from its own. A new flag is fingerprinted by default, so forgetting
-  /// to think about it refuses a handshake rather than letting two
-  /// processes diverge silently mid-run.
+  /// checkpoint cadence, thread/autograd knobs, the failure knobs above)
+  /// that never changes what a job computes. Workers send it in HELLO;
+  /// the server refuses a handshake whose fingerprint differs from its
+  /// own. A new flag is fingerprinted by default, so forgetting to think
+  /// about it refuses a handshake rather than letting two processes
+  /// diverge silently mid-run.
   uint64_t fingerprint = 0;
 };
 

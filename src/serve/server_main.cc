@@ -35,8 +35,6 @@ scenario flags.
 Deployment:
   --listen host:port to bind (127.0.0.1:7710); port 0 = kernel-assigned
   --workers number of rfed_worker processes to wait for (1)
-  --pipeline overlap the broadcast of queued jobs with the upload tail
-      of earlier ones (false; trajectory is unchanged either way)
   --port_file PATH write the bound port as text (for harnesses using
       --listen with port 0)
   --model_out PATH write the final global model tensor
@@ -65,7 +63,6 @@ int main(int argc, char** argv) {
 
   const HostPort listen = flags.GetHostPort("listen", "127.0.0.1:7710");
   const int num_workers = flags.GetIntInRange("workers", 1, 1, 1024);
-  const bool pipeline = flags.GetBool("pipeline", false);
   const std::string port_file = flags.GetString("port_file", "");
   const std::string model_out = flags.GetString("model_out", "");
 
@@ -91,11 +88,10 @@ int main(int argc, char** argv) {
 
   net::TcpListener listener(listen.host, listen.port);
   std::printf("rfed_server listening on %s:%d (%s, %d workers, %d clients, "
-              "%d rounds%s)\n",
+              "%d rounds)\n",
               listen.host.c_str(), listener.bound_port(),
               scenario.method.c_str(), num_workers,
-              static_cast<int>(scenario.views.size()), scenario.rounds,
-              pipeline ? ", pipelined" : "");
+              static_cast<int>(scenario.views.size()), scenario.rounds);
   std::fflush(stdout);
   if (!port_file.empty()) {
     std::FILE* f = std::fopen(port_file.c_str(), "w");
@@ -109,7 +105,10 @@ int main(int argc, char** argv) {
   }
 
   serve::ExecutorOptions exec_options;
-  exec_options.pipelined = pipeline;
+  // Queue a whole cohort's jobs at once so every worker trains
+  // concurrently; the algorithm falls back to lockstep where that is
+  // unsafe (FederatedAlgorithm::UseRemotePipelined).
+  exec_options.pipelined = true;
   exec_options.worker_timeout_ms = scenario.worker_timeout_ms;
   exec_options.max_worker_restarts = scenario.max_worker_restarts;
   serve::RemoteExecutor executor(exec_options);

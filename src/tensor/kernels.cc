@@ -10,10 +10,8 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "tensor/autotune.h"
 #include "tensor/kernels_dispatch.h"
 #include "util/check.h"
-#include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
 namespace rfed {
@@ -50,9 +48,9 @@ const KernelOptions& GetKernelOptions() { return g_options; }
 
 void SetKernelOptions(const KernelOptions& options) {
   KernelOptions fixed = options;
-  fixed.block_m = std::max(1, fixed.block_m);
-  fixed.block_k = std::max(1, fixed.block_k);
-  fixed.block_n = std::max(1, fixed.block_n);
+  fixed.tile.block_m = std::max(1, fixed.tile.block_m);
+  fixed.tile.block_k = std::max(1, fixed.tile.block_k);
+  fixed.tile.block_n = std::max(1, fixed.tile.block_n);
   g_options = fixed;
 }
 
@@ -329,7 +327,7 @@ void Col2Im(const float* cols, int64_t cin, int64_t h, int64_t w,
   }
 }
 
-// ---- Blocked GEMM drivers (dispatch + autotune) ----
+// ---- Blocked GEMM drivers ----
 
 namespace {
 
@@ -346,20 +344,8 @@ void GemmAddImpl(const float* a, const float* b, int64_t m, int64_t k,
     ref::GemmAdd(a, b, m, k, n, c);
     return;
   }
-  const internal::BlockedKernels& table = ActiveTable();
-  const bool parallel = flops >= opt.parallel_min_flops;
-  TileConfig tile{opt.block_m, opt.block_k, opt.block_n};
-  if (AutotuneEnabled()) {
-    AutotuneTrial trial = 0;
-    tile = AutotunePick(AutotuneOp::kGemmAdd, table.name, m, k, n, &trial);
-    if (trial != 0) {
-      Stopwatch watch;
-      table.gemm_add(a, b, m, k, n, c, tile, parallel);
-      AutotuneReport(trial, watch.ElapsedMillis());
-      return;
-    }
-  }
-  table.gemm_add(a, b, m, k, n, c, tile, parallel);
+  ActiveTable().gemm_add(a, b, m, k, n, c, opt.tile,
+                         flops >= opt.parallel_min_flops);
 }
 
 // FLOP counters are looked up once; the adds (and the spans) only run
@@ -429,20 +415,8 @@ void GemmTransBAssign(const float* a, const float* b, int64_t m, int64_t n,
     ref::GemmTransBAssign(a, b, m, n, k, c);
     return;
   }
-  const internal::BlockedKernels& table = ActiveTable();
-  const bool parallel = 2 * m * n * k >= opt.parallel_min_flops;
-  TileConfig tile{opt.block_m, opt.block_k, opt.block_n};
-  if (AutotuneEnabled()) {
-    AutotuneTrial trial = 0;
-    tile = AutotunePick(AutotuneOp::kGemmTransB, table.name, m, n, k, &trial);
-    if (trial != 0) {
-      Stopwatch watch;
-      table.gemm_transb(a, b, m, n, k, c, tile, parallel);
-      AutotuneReport(trial, watch.ElapsedMillis());
-      return;
-    }
-  }
-  table.gemm_transb(a, b, m, n, k, c, tile, parallel);
+  ActiveTable().gemm_transb(a, b, m, n, k, c, opt.tile,
+                            2 * m * n * k >= opt.parallel_min_flops);
 }
 
 // ---- Convolution drivers ----

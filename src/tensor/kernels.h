@@ -74,11 +74,8 @@ struct KernelOptions {
   /// unaffected). The partition is deterministic, so any value produces
   /// bit-identical results.
   int threads = 1;
-  /// Static cache blocking, used whenever the autotuner (autotune.h) is
-  /// disabled or has no opinion for a shape.
-  int block_m = 64;
-  int block_k = 256;
-  int block_n = 1024;
+  /// Cache blocking of the blocked GEMMs.
+  TileConfig tile;
   /// Minimum 2*m*k*n FLOP count before a GEMM fans out to the pool;
   /// below it threading overhead dominates.
   int64_t parallel_min_flops = 1 << 21;
@@ -100,8 +97,7 @@ void SetKernelThreads(int threads);
 /// The ISA the next kernel call will run on, after applying the
 /// KernelOptions override to what the CPU supports.
 KernelIsa ActiveKernelIsa();
-/// Short stable name ("avx2", "generic") — used as the autotuner cache
-/// key component and in bench output.
+/// Short stable name ("avx2", "generic") — used in bench output.
 const char* KernelIsaName(KernelIsa isa);
 /// Whether this build+CPU can run the AVX2+FMA path.
 bool KernelAvx2Available();

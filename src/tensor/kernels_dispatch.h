@@ -60,7 +60,7 @@ struct ConvDwTile {
 /// the canonical fused summation order (kernels.h), so all tables are
 /// bit-interchangeable; only throughput differs.
 struct BlockedKernels {
-  const char* name;  ///< "avx2" / "generic" — also the autotune ISA key.
+  const char* name;  ///< "avx2" / "generic".
   int mr;            ///< GemmAdd register tile rows.
   int nr;            ///< GemmAdd register tile columns (B panel width).
   int tr;            ///< GemmTransBAssign accumulator chains per panel.

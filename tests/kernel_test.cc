@@ -7,10 +7,7 @@
 // byte-identical across kernel_threads in {1, 2, 4}.
 
 #include <cmath>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <iterator>
 #include <limits>
 #include <string>
 #include <thread>
@@ -25,8 +22,6 @@
 #include "fl/fedavg.h"
 #include "fl/trainer.h"
 #include "nn/models.h"
-#include "obs/metrics.h"
-#include "tensor/autotune.h"
 #include "tensor/kernels.h"
 #include "tensor/tensor_ops.h"
 #include "test_util.h"
@@ -45,8 +40,6 @@ class KernelTest : public ::testing::Test {
  protected:
   void TearDown() override {
     SetKernelOptions(KernelOptions{});
-    SetAutotuneConfig(AutotuneConfig{});
-    ResetAutotuneForTest();
   }
 };
 
@@ -56,9 +49,7 @@ class KernelTest : public ::testing::Test {
 KernelOptions TinyBlocks(int threads) {
   KernelOptions o;
   o.threads = threads;
-  o.block_m = 8;
-  o.block_k = 8;
-  o.block_n = 16;
+  o.tile = TileConfig{8, 8, 16};
   o.blocked_min_flops = 0;
   o.parallel_min_flops = 0;
   return o;
@@ -181,23 +172,28 @@ std::vector<KernelIsa> TestableIsas() {
 }
 
 TEST_F(KernelTest, EveryIsaTileCandidateAndThreadCountMatchesReference) {
-  // The full cross product the autotuner is allowed to roam over:
-  // each ISA table x each candidate TileConfig x threads {1, 2, 4}
-  // must reproduce the reference bytes exactly. Shapes are chosen off
+  // Each ISA table x each tile below x threads {1, 2, 4} must reproduce
+  // the reference bytes exactly: blocking only reorders which output
+  // elements are in flight, never the summation within one. The tiles
+  // span narrow and wide MC/KC/NC, including a KC (75) that splits the
+  // contraction off any SIMD boundary. Shapes are chosen off
   // every tile boundary (odd m/k/n) plus the microkernel-exact 64 row
   // count, so full tiles, padded remainder rows, and remainder columns
   // all execute.
   struct Case { int64_t m, k, n; };
   const Case cases[] = {{64, 75, 130}, {65, 131, 197}, {6, 16, 33}};
+  const TileConfig gemm_add_tiles[] = {{64, 256, 1024}, {64, 128, 2048},
+                                       {32, 256, 4096}, {96, 384, 512},
+                                       {64, 75, 8192}};
+  const TileConfig transb_tiles[] = {
+      {64, 256, 1024}, {16, 256, 1024}, {256, 256, 1024}};
   for (KernelIsa isa : TestableIsas()) {
-    for (const TileConfig& tile : AutotuneCandidates(AutotuneOp::kGemmAdd)) {
+    for (const TileConfig& tile : gemm_add_tiles) {
       for (int threads : kThreadCounts) {
         KernelOptions o;
         o.threads = threads;
         o.isa = isa;
-        o.block_m = tile.block_m;
-        o.block_k = tile.block_k;
-        o.block_n = tile.block_n;
+        o.tile = tile;
         o.blocked_min_flops = 0;
         o.parallel_min_flops = 0;
         SetKernelOptions(o);
@@ -217,15 +213,12 @@ TEST_F(KernelTest, EveryIsaTileCandidateAndThreadCountMatchesReference) {
         }
       }
     }
-    for (const TileConfig& tile :
-         AutotuneCandidates(AutotuneOp::kGemmTransB)) {
+    for (const TileConfig& tile : transb_tiles) {
       for (int threads : kThreadCounts) {
         KernelOptions o;
         o.threads = threads;
         o.isa = isa;
-        o.block_m = tile.block_m;
-        o.block_k = tile.block_k;
-        o.block_n = tile.block_n;
+        o.tile = tile;
         o.blocked_min_flops = 0;
         o.parallel_min_flops = 0;
         SetKernelOptions(o);
@@ -865,7 +858,7 @@ TEST_F(KernelTest, BlockedGemmReportsScratchUse) {
 
 // ---- End-to-end federated bit-identity across kernel_threads ----
 
-Tensor RunTinyFedAvg(int kernel_threads, bool autotune = false) {
+Tensor RunTinyFedAvg(int kernel_threads) {
   Rng rng(1234);
   auto data = GenerateImageData(MnistLikeProfile(), 120, 60, &rng);
   auto split = SimilarityPartition(data.train, 3, 0.5, &rng);
@@ -882,7 +875,6 @@ Tensor RunTinyFedAvg(int kernel_threads, bool autotune = false) {
   config.seed = 77;
   config.max_examples_per_pass = 64;
   config.kernel_threads = kernel_threads;
-  config.kernel_autotune = autotune;
   FedAvg algo(config, &data.train, views, MakeCnnFactory(mc));
   TrainerOptions options;
   options.eval_max_examples = 60;
@@ -903,202 +895,6 @@ TEST_F(KernelTest, FederatedRunBitIdenticalAcrossKernelThreads) {
           << "threads=" << threads << " element " << i;
     }
   }
-}
-
-// ---- Autotuner ----
-
-/// Index of `tile` in the candidate set of `op`, or -1.
-int CandidateIndex(AutotuneOp op, const TileConfig& tile) {
-  const auto& candidates = AutotuneCandidates(op);
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    if (candidates[i].block_m == tile.block_m &&
-        candidates[i].block_k == tile.block_k &&
-        candidates[i].block_n == tile.block_n) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
-
-int64_t CounterValue(const char* name) {
-  return obs::MetricsRegistry::Get().GetCounter(name)->value();
-}
-
-TEST_F(KernelTest, AutotunerExploresEveryCandidateThenCommitsArgmin) {
-  AutotuneConfig cfg;
-  cfg.enabled = true;
-  cfg.samples_per_candidate = 2;
-  SetAutotuneConfig(cfg);
-  ResetAutotuneForTest();
-  const auto& candidates = AutotuneCandidates(AutotuneOp::kGemmAdd);
-  const int64_t trials_before = CounterValue("kernel.autotune.trials");
-  const int64_t hits_before = CounterValue("kernel.autotune.cache_hits");
-  // Exploration: every candidate must be issued exactly
-  // samples_per_candidate times before the shape commits. Feed fake
-  // timings that make candidate 2 the unambiguous winner.
-  std::vector<int> issued(candidates.size(), 0);
-  for (size_t i = 0; i < 2 * candidates.size(); ++i) {
-    AutotuneTrial trial = 0;
-    const TileConfig tile =
-        AutotunePick(AutotuneOp::kGemmAdd, "testisa", 64, 75, 130, &trial);
-    ASSERT_NE(trial, 0u) << "pick " << i << " should still be exploring";
-    const int idx = CandidateIndex(AutotuneOp::kGemmAdd, tile);
-    ASSERT_GE(idx, 0) << "pick returned a tile outside the candidate set";
-    issued[static_cast<size_t>(idx)] += 1;
-    AutotuneReport(trial, idx == 2 ? 0.5 : 5.0 + idx);
-  }
-  for (size_t i = 0; i < issued.size(); ++i) {
-    EXPECT_EQ(issued[i], 2) << "candidate " << i;
-  }
-  EXPECT_EQ(CounterValue("kernel.autotune.trials") - trials_before,
-            static_cast<int64_t>(2 * candidates.size()));
-  // Committed: the winner comes back with no trial token, and each such
-  // answer counts as a cache hit.
-  for (int i = 0; i < 3; ++i) {
-    AutotuneTrial trial = 99;
-    const TileConfig tile =
-        AutotunePick(AutotuneOp::kGemmAdd, "testisa", 64, 75, 130, &trial);
-    EXPECT_EQ(trial, 0u);
-    EXPECT_EQ(CandidateIndex(AutotuneOp::kGemmAdd, tile), 2);
-  }
-  EXPECT_EQ(CounterValue("kernel.autotune.cache_hits") - hits_before, 3);
-  // A different shape is an independent key and starts exploring again.
-  AutotuneTrial trial = 0;
-  AutotunePick(AutotuneOp::kGemmAdd, "testisa", 64, 75, 131, &trial);
-  EXPECT_NE(trial, 0u);
-}
-
-TEST_F(KernelTest, AutotunerDefaultCandidateIsTheStaticDefault) {
-  // Candidate 0 of each op must equal the KernelOptions defaults, so a
-  // tuned run can always fall back to exactly the untuned blocking.
-  const KernelOptions defaults;
-  for (AutotuneOp op : {AutotuneOp::kGemmAdd, AutotuneOp::kGemmTransB}) {
-    const TileConfig& first = AutotuneCandidates(op)[0];
-    EXPECT_EQ(first.block_m, defaults.block_m) << AutotuneOpName(op);
-    EXPECT_EQ(first.block_k, defaults.block_k) << AutotuneOpName(op);
-    EXPECT_EQ(first.block_n, defaults.block_n) << AutotuneOpName(op);
-  }
-}
-
-TEST_F(KernelTest, AutotuneFileCachePersistsWinnerAcrossReset) {
-  const std::string path = ::testing::TempDir() + "autotune_persist.cache";
-  std::remove(path.c_str());
-  AutotuneConfig cfg;
-  cfg.enabled = true;
-  cfg.samples_per_candidate = 1;
-  cfg.cache_file = path;
-  SetAutotuneConfig(cfg);
-  ResetAutotuneForTest();
-  const auto& candidates = AutotuneCandidates(AutotuneOp::kGemmTransB);
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    AutotuneTrial trial = 0;
-    const TileConfig tile =
-        AutotunePick(AutotuneOp::kGemmTransB, "testisa", 8, 96, 24, &trial);
-    ASSERT_NE(trial, 0u);
-    const int idx = CandidateIndex(AutotuneOp::kGemmTransB, tile);
-    AutotuneReport(trial, idx == 1 ? 1.0 : 9.0);
-  }
-  // Committed and written. Drop every byte of in-process state: the
-  // next pick must come back committed straight from the file.
-  ResetAutotuneForTest();
-  AutotuneTrial trial = 99;
-  const TileConfig tile =
-      AutotunePick(AutotuneOp::kGemmTransB, "testisa", 8, 96, 24, &trial);
-  EXPECT_EQ(trial, 0u);
-  EXPECT_EQ(CandidateIndex(AutotuneOp::kGemmTransB, tile), 1);
-  // The file itself is the documented format: header + one line.
-  std::ifstream in(path);
-  std::string header, line;
-  ASSERT_TRUE(std::getline(in, header));
-  EXPECT_EQ(header, "rfed-autotune v1");
-  ASSERT_TRUE(std::getline(in, line));
-  EXPECT_EQ(line, "gemm_transb testisa 8 96 24 16 256 1024");
-  std::remove(path.c_str());
-}
-
-TEST_F(KernelTest, AutotuneCacheRewriteKeepsForeignIsaLines) {
-  // A cache written on another machine (different ISA) must survive
-  // this machine committing its own picks into the same file.
-  const std::string path = ::testing::TempDir() + "autotune_foreign.cache";
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << "rfed-autotune v1\n";
-    out << "gemm_add othermachine 1 2 3 96 384 512\n";
-  }
-  AutotuneConfig cfg;
-  cfg.enabled = true;
-  cfg.samples_per_candidate = 1;
-  cfg.cache_file = path;
-  SetAutotuneConfig(cfg);
-  ResetAutotuneForTest();
-  const auto& candidates = AutotuneCandidates(AutotuneOp::kGemmAdd);
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    AutotuneTrial trial = 0;
-    AutotunePick(AutotuneOp::kGemmAdd, "testisa", 4, 5, 6, &trial);
-    ASSERT_NE(trial, 0u);
-    AutotuneReport(trial, 1.0);
-  }
-  std::ifstream in(path);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  EXPECT_NE(content.find("gemm_add othermachine 1 2 3 96 384 512"),
-            std::string::npos);
-  EXPECT_NE(content.find("gemm_add testisa 4 5 6"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST_F(KernelTest, CorruptAutotuneCacheAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const std::string dir = ::testing::TempDir();
-  auto pick_with_cache = [](const std::string& path) {
-    AutotuneConfig cfg;
-    cfg.enabled = true;
-    cfg.cache_file = path;
-    SetAutotuneConfig(cfg);
-    ResetAutotuneForTest();
-    AutotuneTrial trial = 0;
-    AutotunePick(AutotuneOp::kGemmAdd, "testisa", 1, 2, 3, &trial);
-  };
-  {
-    // Wrong header: a cache from an incompatible version.
-    const std::string path = dir + "autotune_badheader.cache";
-    std::ofstream(path, std::ios::trunc) << "rfed-autotune v0\n";
-    EXPECT_DEATH(pick_with_cache(path), "bad header");
-    std::remove(path.c_str());
-  }
-  {
-    // Unknown op name: stale schema.
-    const std::string path = dir + "autotune_badop.cache";
-    std::ofstream(path, std::ios::trunc)
-        << "rfed-autotune v1\ngemm_bogus testisa 1 2 3 64 256 1024\n";
-    EXPECT_DEATH(pick_with_cache(path), "unknown op");
-    std::remove(path.c_str());
-  }
-  {
-    // Truncated line: torn write.
-    const std::string path = dir + "autotune_torn.cache";
-    std::ofstream(path, std::ios::trunc)
-        << "rfed-autotune v1\ngemm_add testisa 1 2\n";
-    EXPECT_DEATH(pick_with_cache(path), "unparseable line");
-    std::remove(path.c_str());
-  }
-}
-
-TEST_F(KernelTest, FederatedRunBitIdenticalWithAutotuneOn) {
-  // The pinned-pick contract end to end: whatever tiles the tuner
-  // happens to measure and commit mid-run, the trained global model
-  // must be byte-identical to the untuned run, because every candidate
-  // computes the canonical summation order.
-  const Tensor base = RunTinyFedAvg(1, /*autotune=*/false);
-  SetKernelOptions(KernelOptions{});
-  ResetAutotuneForTest();
-  const Tensor tuned = RunTinyFedAvg(1, /*autotune=*/true);
-  ASSERT_EQ(base.size(), tuned.size());
-  for (int64_t i = 0; i < base.size(); ++i) {
-    ASSERT_EQ(base.at(i), tuned.at(i)) << "element " << i;
-  }
-  // And the tuner really ran: exploration trials were recorded.
-  EXPECT_GT(CounterValue("kernel.autotune.trials"), 0);
 }
 
 }  // namespace

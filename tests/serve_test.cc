@@ -244,7 +244,7 @@ struct DeploymentResult {
 /// returns the run's CSV + final-model paths.
 DeploymentResult RunDeployment(const std::string& tag,
                                const std::vector<std::string>& scenario,
-                               int num_workers, bool pipeline,
+                               int num_workers,
                                std::vector<std::string> extra_server_args =
                                    {}) {
   DeploymentResult out;
@@ -255,9 +255,8 @@ DeploymentResult RunDeployment(const std::string& tag,
   std::vector<std::string> server_args = scenario;
   server_args.insert(server_args.end(),
                      {"--listen", "127.0.0.1:0", "--port_file", port_file,
-                      "--workers", std::to_string(num_workers), "--pipeline",
-                      pipeline ? "true" : "false", "--csv_out", out.csv,
-                      "--model_out", out.model});
+                      "--workers", std::to_string(num_workers), "--csv_out",
+                      out.csv, "--model_out", out.model});
   server_args.insert(server_args.end(), extra_server_args.begin(),
                      extra_server_args.end());
   const pid_t server =
@@ -288,9 +287,9 @@ DeploymentResult RunDeployment(const std::string& tag,
 }
 
 // The acceptance matrix: stateless (FedAvg), stateful with control
-// variates (Scaffold), and the paper's flagship (rFedAvg+), each run
-// lockstep and pipelined, always against two workers. One oracle per
-// method — pipelining must not change the trajectory.
+// variates (Scaffold), and the paper's flagship (rFedAvg+), each against
+// two workers. rfed_server always pipelines; SCAFFOLD's row covers the
+// lockstep fallback the algorithm picks for it.
 TEST(ServeDifferential, MatrixMatchesOracle) {
   const struct {
     const char* method;
@@ -303,16 +302,11 @@ TEST(ServeDifferential, MatrixMatchesOracle) {
     const std::string oracle_model =
         TempPath(std::string(m.tag) + "_oracle.model");
     RunOracle(scenario, oracle_csv, oracle_model);
-    for (const bool pipeline : {false, true}) {
-      SCOPED_TRACE(std::string(m.method) +
-                   (pipeline ? " pipelined" : " lockstep"));
-      const std::string tag =
-          std::string(m.tag) + (pipeline ? "_pipe" : "_lock");
-      const DeploymentResult run =
-          RunDeployment(tag, scenario, /*num_workers=*/2, pipeline);
-      ExpectCsvEquivalent(run.csv, oracle_csv);
-      ExpectFilesIdentical(run.model, oracle_model);
-    }
+    SCOPED_TRACE(m.method);
+    const DeploymentResult run =
+        RunDeployment(m.tag, scenario, /*num_workers=*/2);
+    ExpectCsvEquivalent(run.csv, oracle_csv);
+    ExpectFilesIdentical(run.model, oracle_model);
   }
 }
 
@@ -373,7 +367,7 @@ TEST(ServeDifferential, SigtermCheckpointThenResumeMatchesOracle) {
   // must match the uninterrupted oracle.
   const DeploymentResult resumed =
       RunDeployment("sigterm2", scenario, /*num_workers=*/2,
-                    /*pipeline=*/false, {"--resume_from", ck});
+                    {"--resume_from", ck});
   ExpectCsvEquivalent(resumed.csv, oracle_csv);
   ExpectFilesIdentical(resumed.model, oracle_model);
 }
@@ -422,79 +416,74 @@ TEST(ServeChaos, WorkerKillsMatrixMatchesOracle) {
     const std::string oracle_model =
         TempPath(std::string(m.tag) + "_oracle.model");
     RunOracle(scenario, oracle_csv, oracle_model);
-    for (const bool pipeline : {false, true}) {
-      SCOPED_TRACE(std::string(m.method) +
-                   (pipeline ? " pipelined" : " lockstep"));
-      const std::string tag =
-          std::string(m.tag) + (pipeline ? "_pipe" : "_lock");
-      const std::string csv = TempPath(tag + "_server.csv");
-      const std::string model = TempPath(tag + "_server.model");
-      const std::string port_file = TempPath(tag + ".port");
-      const std::string server_log = TempPath(tag + "_server.log");
-      std::remove(port_file.c_str());
-      std::vector<std::string> server_args = scenario;
-      server_args.insert(
-          server_args.end(),
-          {"--listen", "127.0.0.1:0", "--port_file", port_file, "--workers",
-           "3", "--pipeline", pipeline ? "true" : "false", "--csv_out", csv,
-           "--model_out", model, "--worker_timeout_ms", "10000",
-           "--max_worker_restarts", "8"});
-      const pid_t server = Spawn(RFED_SERVER_BIN, server_args, server_log);
-      const int port = AwaitPortFile(port_file);
-      ASSERT_GT(port, 0) << "server never published its port";
+    SCOPED_TRACE(m.tag);
+    const std::string tag = m.tag;
+    const std::string csv = TempPath(tag + "_server.csv");
+    const std::string model = TempPath(tag + "_server.model");
+    const std::string port_file = TempPath(tag + ".port");
+    const std::string server_log = TempPath(tag + "_server.log");
+    std::remove(port_file.c_str());
+    std::vector<std::string> server_args = scenario;
+    server_args.insert(
+        server_args.end(),
+        {"--listen", "127.0.0.1:0", "--port_file", port_file, "--workers",
+         "3", "--csv_out", csv, "--model_out", model,
+         "--worker_timeout_ms", "10000", "--max_worker_restarts", "8"});
+    const pid_t server = Spawn(RFED_SERVER_BIN, server_args, server_log);
+    const int port = AwaitPortFile(port_file);
+    ASSERT_GT(port, 0) << "server never published its port";
 
-      net::FaultProxy proxy("127.0.0.1", port);
-      // Kill plans: worker w dies after forwarding kill_after_frames[w]
-      // frames (HELLO included). Rejoin connections get fresh indices
-      // with no plan and survive.
-      for (int c = 0; c < 3; ++c) {
-        if (m.kill_after_frames[c] < 0) continue;
-        net::FaultPlan kill;
-        kill.kill_after_frames = m.kill_after_frames[c];
-        proxy.SetPlan(c, kill);
-      }
-
-      std::vector<pid_t> workers;
-      for (int w = 0; w < 3; ++w) {
-        if (w > 0) {
-          // Worker w-1 has connected: the next accept index is w's.
-          const auto give_up =
-              std::chrono::steady_clock::now() + std::chrono::seconds(20);
-          while (proxy.accepted_connections() < w &&
-                 std::chrono::steady_clock::now() < give_up) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
-          }
-          ASSERT_GE(proxy.accepted_connections(), w)
-              << "worker " << w - 1 << " never connected";
-        }
-        std::vector<std::string> worker_args = scenario;
-        worker_args.insert(
-            worker_args.end(),
-            {"--connect", "127.0.0.1:" + std::to_string(proxy.listen_port()),
-             "--worker_id", std::to_string(w), "--workers", "3",
-             "--rejoin_attempts", "10"});
-        workers.push_back(Spawn(RFED_WORKER_BIN, worker_args,
-                                TempPath(tag + "_worker" + std::to_string(w) +
-                                         ".log")));
-      }
-      EXPECT_EQ(WaitForExit(server), 0)
-          << "server exited uncleanly; log:\n" << ReadFileText(server_log);
-      for (int w = 0; w < 3; ++w) {
-        EXPECT_EQ(WaitForExit(workers[static_cast<size_t>(w)]), 0)
-            << "worker " << w << " exited uncleanly; log:\n"
-            << ReadFileText(TempPath(tag + "_worker" + std::to_string(w) +
-                                     ".log"));
-      }
-      proxy.Stop();
-      EXPECT_EQ(proxy.killed_connections(), 2) << "chaos plan did not fire";
-      const std::string log = ReadFileText(server_log);
-      EXPECT_NE(log.find("lost"), std::string::npos)
-          << "server never observed a worker death; log:\n" << log;
-      EXPECT_NE(log.find("rejoined"), std::string::npos)
-          << "no worker rejoined; log:\n" << log;
-      ExpectCsvEquivalent(csv, oracle_csv);
-      ExpectFilesIdentical(model, oracle_model);
+    net::FaultProxy proxy("127.0.0.1", port);
+    // Kill plans: worker w dies after forwarding kill_after_frames[w]
+    // frames (HELLO included). Rejoin connections get fresh indices
+    // with no plan and survive.
+    for (int c = 0; c < 3; ++c) {
+      if (m.kill_after_frames[c] < 0) continue;
+      net::FaultPlan kill;
+      kill.kill_after_frames = m.kill_after_frames[c];
+      proxy.SetPlan(c, kill);
     }
+
+    std::vector<pid_t> workers;
+    for (int w = 0; w < 3; ++w) {
+      if (w > 0) {
+        // Worker w-1 has connected: the next accept index is w's.
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(20);
+        while (proxy.accepted_connections() < w &&
+               std::chrono::steady_clock::now() < give_up) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        }
+        ASSERT_GE(proxy.accepted_connections(), w)
+            << "worker " << w - 1 << " never connected";
+      }
+      std::vector<std::string> worker_args = scenario;
+      worker_args.insert(
+          worker_args.end(),
+          {"--connect", "127.0.0.1:" + std::to_string(proxy.listen_port()),
+           "--worker_id", std::to_string(w), "--workers", "3",
+           "--rejoin_attempts", "10"});
+      workers.push_back(Spawn(RFED_WORKER_BIN, worker_args,
+                              TempPath(tag + "_worker" + std::to_string(w) +
+                                       ".log")));
+    }
+    EXPECT_EQ(WaitForExit(server), 0)
+        << "server exited uncleanly; log:\n" << ReadFileText(server_log);
+    for (int w = 0; w < 3; ++w) {
+      EXPECT_EQ(WaitForExit(workers[static_cast<size_t>(w)]), 0)
+          << "worker " << w << " exited uncleanly; log:\n"
+          << ReadFileText(TempPath(tag + "_worker" + std::to_string(w) +
+                                   ".log"));
+    }
+    proxy.Stop();
+    EXPECT_EQ(proxy.killed_connections(), 2) << "chaos plan did not fire";
+    const std::string log = ReadFileText(server_log);
+    EXPECT_NE(log.find("lost"), std::string::npos)
+        << "server never observed a worker death; log:\n" << log;
+    EXPECT_NE(log.find("rejoined"), std::string::npos)
+        << "no worker rejoined; log:\n" << log;
+    ExpectCsvEquivalent(csv, oracle_csv);
+    ExpectFilesIdentical(model, oracle_model);
   }
 }
 
@@ -791,9 +780,6 @@ std::vector<FlagVariant> FlagVariants() {
       {"resume_from", ck, {}, true},
       {"num_threads", "2", {}, true},
       {"kernel_threads", "2", {}, true},
-      {"kernel_autotune", "true", {}, true},
-      {"kernel_autotune_cache", TempPath("variant.tune"),
-       {"--kernel_autotune", "true"}, true},
       {"autograd_static", "false", {}, true},
       {"grad_checkpoint", "true", {}, true},
       {"worker_timeout_ms", "1000", {}, true},
