@@ -56,15 +56,26 @@ std::vector<float> Fill(int64_t n, float scale, float phase) {
   return v;
 }
 
-/// Best-of-3 mean per-call milliseconds: one warmup call, then three
-/// independent measurement windows of `min_ms` each; the fastest window
-/// wins. Taking the minimum suppresses the frequency-scaling and
-/// scheduling noise a shared single-core box produces.
-template <typename F>
-double TimeMs(const F& fn, double min_ms) {
-  fn();
+/// Measurement windows per timing.
+constexpr int kWindows = 3;
+
+/// Mean per-call milliseconds of the fastest and of the slowest window.
+struct WindowTimes {
   double best = 0.0;
-  for (int window = 0; window < 3; ++window) {
+  double worst = 0.0;
+  /// (worst - best) / best, in percent.
+  double SpreadPct() const { return 100.0 * (worst - best) / best; }
+};
+
+/// One warmup call, then kWindows independent measurement windows of
+/// `min_ms` each. The fastest window is the reported time: taking the
+/// minimum suppresses the frequency-scaling and scheduling noise a
+/// shared box produces; the slowest one gives the spread.
+template <typename F>
+WindowTimes TimeMs(const F& fn, double min_ms) {
+  fn();
+  WindowTimes t;
+  for (int window = 0; window < kWindows; ++window) {
     int iters = 0;
     Stopwatch sw;
     double elapsed = 0.0;
@@ -74,9 +85,10 @@ double TimeMs(const F& fn, double min_ms) {
       elapsed = sw.ElapsedMillis();
     } while (elapsed < min_ms);
     const double per_iter = elapsed / iters;
-    if (window == 0 || per_iter < best) best = per_iter;
+    if (window == 0 || per_iter < t.best) t.best = per_iter;
+    if (window == 0 || per_iter > t.worst) t.worst = per_iter;
   }
-  return best;
+  return t;
 }
 
 /// Sign-random normal samples: what ReLU and max-pool see in training,
@@ -98,7 +110,10 @@ std::vector<float> Noise(int64_t n, uint64_t seed) {
 constexpr int kInputRotation = 8;
 
 enum class Kind {
-  kGemmAdd, kGemmTransA, kGemmTransB, kConvFwd, kConvBwd,
+  kGemmAdd, kGemmTransA, kGemmTransB, kConvFwd,
+  // Conv backward: dx + dw + db, dw + db only (what training runs for
+  // the first layer, whose input is the data), dx only.
+  kConvBwd, kConvBwdNoDx, kConvDx,
   // Elementwise over an NCHW activation (the Case's conv field holds its
   // [batch, in_channels, height, width]).
   kReluFwd, kReluBwd, kPoolFwd, kPoolBwd,
@@ -111,12 +126,18 @@ const char* KindName(Kind k) {
     case Kind::kGemmTransB: return "gemm_transB_assign";
     case Kind::kConvFwd: return "conv2d_forward";
     case Kind::kConvBwd: return "conv2d_backward";
+    case Kind::kConvBwdNoDx: return "conv2d_backward_nodx";
+    case Kind::kConvDx: return "conv2d_dx";
     case Kind::kReluFwd: return "relu";
     case Kind::kReluBwd: return "relu_backward";
     case Kind::kPoolFwd: return "maxpool2x2_forward";
     case Kind::kPoolBwd: return "maxpool2x2_backward";
   }
   return "?";
+}
+
+bool IsConvBackward(Kind k) {
+  return k == Kind::kConvBwd || k == Kind::kConvBwdNoDx || k == Kind::kConvDx;
 }
 
 bool IsElementwise(Kind k) {
@@ -160,9 +181,13 @@ std::vector<Case> Sweep() {
                    {24, 3, 12, 12, 4, 5, 1, 2}, true});
   cases.push_back({"cnn_conv1_bwd", Kind::kConvBwd, 0, 0, 0,
                    {24, 3, 12, 12, 4, 5, 1, 2}});
+  cases.push_back({"cnn_conv1_bwd_nodx", Kind::kConvBwdNoDx, 0, 0, 0,
+                   {24, 3, 12, 12, 4, 5, 1, 2}, true});
   cases.push_back({"cnn_conv2_fwd", Kind::kConvFwd, 0, 0, 0,
                    {24, 4, 6, 6, 8, 5, 1, 2}});
   cases.push_back({"cnn_conv2_bwd", Kind::kConvBwd, 0, 0, 0,
+                   {24, 4, 6, 6, 8, 5, 1, 2}, true});
+  cases.push_back({"cnn_conv2_dx", Kind::kConvDx, 0, 0, 0,
                    {24, 4, 6, 6, 8, 5, 1, 2}, true});
   cases.push_back({"conv1_mnist_fwd", Kind::kConvFwd, 0, 0, 0,
                    {32, 1, 12, 12, 8, 5, 1, 2}, true});
@@ -241,9 +266,11 @@ int64_t CaseFlops(const Case& c) {
     case Kind::kGemmTransB:
       return 2 * c.m * c.k * c.n;  // m rows x k dots of length n
     case Kind::kConvFwd:
+    case Kind::kConvBwdNoDx:  // dw (db is negligible)
+    case Kind::kConvDx:
       return 2 * c.conv.batch * c.conv.out_channels * c.conv.Patch() *
              c.conv.OutArea();
-    case Kind::kConvBwd:  // dx GEMM + dw GEMM (db is negligible)
+    case Kind::kConvBwd:  // dx + dw (db is negligible)
       return 4 * c.conv.batch * c.conv.out_channels * c.conv.Patch() *
              c.conv.OutArea();
     default:
@@ -256,6 +283,13 @@ int64_t CaseFlops(const Case& c) {
 double Rate(const Case& c, double ms) {
   const int64_t work = IsElementwise(c.kind) ? CaseBytes(c) : CaseFlops(c);
   return static_cast<double>(work) / (ms * 1e6);
+}
+
+/// Bitwise equality: unlike operator==, tells +0 from -0 and matches
+/// NaN with NaN.
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
 /// One benchmark case's buffers plus ref/opt runners over them.
@@ -285,14 +319,16 @@ struct Workbench {
         out_ref.assign(static_cast<size_t>(c.m * c.k), 0.0f);
         break;
       case Kind::kConvFwd:
-      case Kind::kConvBwd: {
+      case Kind::kConvBwd:
+      case Kind::kConvBwdNoDx:
+      case Kind::kConvDx: {
         const ConvKernelShape& s = c.conv;
         a = Fill(s.batch * s.in_channels * s.height * s.width, 1.0f, 0.3f);
         b = Fill(s.out_channels * s.Patch(), 0.2f, 1.1f);
         bias = Fill(s.out_channels, 0.1f, 2.2f);
         out_ref.assign(
             static_cast<size_t>(s.batch * s.out_channels * s.OutArea()), 0.0f);
-        if (c.kind == Kind::kConvBwd) {
+        if (IsConvBackward(c.kind)) {
           // out_ref doubles as grad_out for the backward case: nonzero
           // so the reference's zero-skip path never fires.
           out_ref = Fill(s.batch * s.out_channels * s.OutArea(), 0.4f, 1.7f);
@@ -369,13 +405,20 @@ struct Workbench {
             a.data(), b.data(), bias.data(), c.conv, out);
         break;
       case Kind::kConvBwd:
+      case Kind::kConvBwdNoDx:
+      case Kind::kConvDx: {
+        // The references accumulate into zeroed outputs.
+        const bool with_dx = c.kind != Kind::kConvBwdNoDx;
+        const bool with_params = c.kind != Kind::kConvDx;
         std::memset(dx.data(), 0, dx.size() * sizeof(float));
         std::memset(dw.data(), 0, dw.size() * sizeof(float));
         std::memset(db.data(), 0, db.size() * sizeof(float));
         (optimized ? Conv2dBackwardKernel : ref::Conv2dBackwardKernel)(
-            out_ref.data(), a.data(), b.data(), c.conv, dx.data(), dw.data(),
-            db.data());
+            out_ref.data(), a.data(), b.data(), c.conv,
+            with_dx ? dx.data() : nullptr, with_params ? dw.data() : nullptr,
+            with_params ? db.data() : nullptr);
         break;
+      }
       case Kind::kReluFwd:
         (optimized ? ReluKernel : ref::Relu)(xs[slot].data(),
                                              ActivationSize(c), out);
@@ -400,14 +443,14 @@ struct Workbench {
   }
 
   /// Bit-identity check: runs ref then opt from zeroed outputs and
-  /// memcmps. ConvBwd compares dx/dw/db via two sequential Run passes
-  /// (Run zeroes them itself), snapshotting between.
+  /// memcmps. Conv backward compares dx/dw/db via two sequential Run
+  /// passes (Run zeroes them itself), snapshotting between.
   bool Verify(const Case& c) {
-    if (c.kind == Kind::kConvBwd) {
+    if (IsConvBackward(c.kind)) {
       Run(c, /*optimized=*/false);
-      std::vector<float> rdx = dx, rdw = dw, rdb = db;
+      const std::vector<float> rdx = dx, rdw = dw, rdb = db;
       Run(c, /*optimized=*/true);
-      return rdx == dx && rdw == dw && rdb == db;
+      return SameBits(rdx, dx) && SameBits(rdw, dw) && SameBits(rdb, db);
     }
     // Every rotation slot, ref then opt on the same slot.
     bool same = true;
@@ -434,6 +477,7 @@ struct Workbench {
 struct Timing {
   int threads;
   double ms;
+  double spread_pct;  ///< WindowTimes::SpreadPct
   double gflops;  ///< Rate(): GB/s for the elementwise cases
   double speedup;
 };
@@ -441,6 +485,7 @@ struct Timing {
 struct Result {
   Case c;
   double ref_ms = 0.0;
+  double ref_spread_pct = 0.0;
   double ref_gflops = 0.0;  ///< Rate(), as Timing::gflops
   std::vector<Timing> opt;
 };
@@ -474,6 +519,7 @@ void WriteJson(const std::string& path, const std::vector<Result>& results,
   }
   std::fprintf(f, "],\n");
   std::fprintf(f, "  \"min_ms_per_timing\": %.0f,\n", min_ms);
+  std::fprintf(f, "  \"windows_per_timing\": %d,\n", kWindows);
   std::fprintf(f, "  \"cases\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
     const Result& r = results[i];
@@ -488,7 +534,7 @@ void WriteJson(const std::string& path, const std::vector<Result>& results,
                    static_cast<long long>(s.in_channels),
                    static_cast<long long>(s.height),
                    static_cast<long long>(s.width));
-    } else if (r.c.kind == Kind::kConvFwd || r.c.kind == Kind::kConvBwd) {
+    } else if (r.c.kind == Kind::kConvFwd || IsConvBackward(r.c.kind)) {
       const ConvKernelShape& s = r.c.conv;
       std::fprintf(f,
                    "      \"shape\": {\"batch\": %lld, \"cin\": %lld, \"h\": "
@@ -514,17 +560,21 @@ void WriteJson(const std::string& path, const std::vector<Result>& results,
     std::fprintf(f, "      \"%s\": %lld,\n", bytes ? "bytes" : "flops",
                  static_cast<long long>(bytes ? CaseBytes(r.c)
                                               : CaseFlops(r.c)));
-    std::fprintf(f, "      \"ref_ms\": %.4f,\n      \"ref_%s\": %.3f,\n",
-                 r.ref_ms, rate, r.ref_gflops);
+    std::fprintf(f,
+                 "      \"ref_ms\": %.4f,\n      \"ref_spread_pct\": %.1f,\n"
+                 "      \"ref_%s\": %.3f,\n",
+                 r.ref_ms, r.ref_spread_pct, rate, r.ref_gflops);
     std::fprintf(f, "      \"acceptance_shape\": %s,\n",
                  r.c.acceptance ? "true" : "false");
     std::fprintf(f, "      \"opt\": [\n");
     for (size_t t = 0; t < r.opt.size(); ++t) {
       const Timing& ot = r.opt[t];
       std::fprintf(f,
-                   "        {\"threads\": %d, \"ms\": %.4f, \"%s\": %.3f, "
+                   "        {\"threads\": %d, \"ms\": %.4f, "
+                   "\"spread_pct\": %.1f, \"%s\": %.3f, "
                    "\"speedup_vs_seed\": %.3f}%s\n",
-                   ot.threads, ot.ms, rate, ot.gflops, ot.speedup,
+                   ot.threads, ot.ms, ot.spread_pct, rate, ot.gflops,
+                   ot.speedup,
                    t + 1 < r.opt.size() ? "," : "");
     }
     std::fprintf(f, "      ]\n");
@@ -572,13 +622,17 @@ int Main(int argc, char** argv) {
     Result r;
     r.c = c;
     SetThreads(1);
-    r.ref_ms = TimeMs([&] { wb.Run(c, false); }, min_ms);
+    const WindowTimes ref_times = TimeMs([&] { wb.Run(c, false); }, min_ms);
+    r.ref_ms = ref_times.best;
+    r.ref_spread_pct = ref_times.SpreadPct();
     r.ref_gflops = Rate(c, r.ref_ms);
     for (int threads : timed_threads) {
       SetThreads(threads);
       Timing t;
       t.threads = threads;
-      t.ms = TimeMs([&] { wb.Run(c, true); }, min_ms);
+      const WindowTimes times = TimeMs([&] { wb.Run(c, true); }, min_ms);
+      t.ms = times.best;
+      t.spread_pct = times.SpreadPct();
       t.gflops = Rate(c, t.ms);
       t.speedup = r.ref_ms / t.ms;
       r.opt.push_back(t);

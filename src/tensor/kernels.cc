@@ -476,35 +476,28 @@ void RowOp(int64_t n, T* d, const F& f) {
   for (; i < n; ++i) d[i] = f(i);
 }
 
-/// Copies image x [cin, h, w] into xp [cin, hp, wp] with zero borders,
-/// so the forward GEMM, GatherCols and the dw chains index it with no
-/// bounds checks.
-template <typename T>
-void PadImage(const float* x, const ConvGeom& g, T* xp) {
-  std::fill(xp, xp + g.padded_size, T(0));
+/// Copies image x [cin, h, w] into the interior of xp [cin, hp, wp],
+/// whose zero border the caller filled once for the buffer, so the
+/// forward GEMM and GatherCols index it with no bounds checks.
+void CopyInterior(const float* x, const ConvGeom& g,
+                  const internal::BlockedKernels& table, float* xp) {
   for (int64_t c = 0; c < g.s.in_channels; ++c) {
-    for (int64_t y = 0; y < g.s.height; ++y) {
-      const float* src = x + (c * g.s.height + y) * g.s.width;
-      T* dst = xp + (c * g.hp + y + g.s.pad) * g.wp + g.s.pad;
-      RowOp(g.s.width, dst, [&](int64_t i) { return static_cast<T>(src[i]); });
-    }
+    table.copy_rows(x + c * g.s.height * g.s.width, g.s.height, g.s.width,
+                    g.wp, xp + (c * g.hp + g.s.pad) * g.wp + g.s.pad);
   }
 }
 
-/// Packs `rows` rows of a [rows, k] operand (element (i, p) at
-/// a[i * row_stride + p * col_stride]) into caller-thread scratch as
+/// Packs the [rows, k] weights a into caller-thread scratch as
 /// conv_gemm's A: 4-row groups p-major, apack[g][p][r], zero-filling the
 /// rows of the last group. Every chunk task reads the result.
-const float* PackConvWeights(const float* a, int64_t rows, int64_t k,
-                             int64_t row_stride, int64_t col_stride) {
+const float* PackConvWeights(const float* a, int64_t rows, int64_t k) {
   float* apack = ScratchArena::ThreadLocal().Buffer(
       kSlotConvWeights, static_cast<size_t>((rows + 3) / 4 * 4 * k));
   for (int64_t g = 0; g < (rows + 3) / 4; ++g) {
     for (int64_t p = 0; p < k; ++p) {
       for (int64_t r = 0; r < 4; ++r) {
         const int64_t i = g * 4 + r;
-        apack[(g * k + p) * 4 + r] =
-            i < rows ? a[i * row_stride + p * col_stride] : 0.0f;
+        apack[(g * k + p) * 4 + r] = i < rows ? a[i * k + p] : 0.0f;
       }
     }
   }
@@ -531,50 +524,20 @@ void GatherCols(const float* xp, const ConvGeom& g, int64_t ldc, float* cols) {
   }
 }
 
-/// col2im of one image's column gradients (row stride ldb) into dx
-/// [cin, h, w]: every dx element receives its terms in ascending row
-/// p = (c, ky, kx), one float add each — Col2Im's order. At stride 1
-/// each (p, oy) term run is one contiguous row add.
-void Col2ImRows(const float* dcols, int64_t ldb, const ConvGeom& g,
-                float* dx) {
-  const int64_t k = g.s.kernel, stride = g.s.stride, pad = g.s.pad;
-  const int64_t h = g.s.height, w = g.s.width;
-  for (int64_t c = 0; c < g.s.in_channels; ++c) {
-    for (int64_t ky = 0; ky < k; ++ky) {
-      for (int64_t kx = 0; kx < k; ++kx) {
-        const float* src = dcols + ((c * k + ky) * k + kx) * ldb;
-        // Output columns whose input column ox*stride + kx - pad is in
-        // [0, w): ox in [lo, hi).
-        const int64_t lo =
-            std::max<int64_t>(0, (pad - kx + stride - 1) / stride);
-        const int64_t hi =
-            std::min(g.wo, (w + pad - kx + stride - 1) / stride);
-        if (lo >= hi) continue;
-        for (int64_t oy = 0; oy < g.ho; ++oy) {
-          const int64_t iy = oy * stride + ky - pad;
-          if (iy < 0 || iy >= h) continue;
-          float* d = dx + (c * h + iy) * w + lo * stride + kx - pad;
-          const float* s_row = src + oy * g.wo + lo;
-          if (stride == 1) {
-            RowOp(hi - lo, d, [&](int64_t i) { return d[i] + s_row[i]; });
-          } else {
-            for (int64_t ox = 0; ox < hi - lo; ++ox) {
-              d[ox * stride] += s_row[ox];
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-/// dw of the whole batch, accumulated in a transposed copy dwt
-/// [patch][ocp]. Tasks own disjoint (channel, patch) tiles and walk the
-/// images in ascending order inside each chunk, so each element sees
-/// the reference sequence: per image one double chain ascending over
-/// out_area, rounded to float and added.
-void ConvWeightGrad(const float* grad_out, const float* x, const ConvGeom& g,
-                    const internal::BlockedKernels& table, float* dw) {
+/// dw and db of the whole batch, both overwritten. Per chunk, each
+/// image's grad_out is widened to double and transposed to
+/// [area][ocp] (and, for dw, the image widened into a padded double
+/// copy whose zero border is filled once per call). dw accumulates in
+/// a transposed copy dwt [patch][ocp]: tasks own disjoint (channel,
+/// patch) tiles and walk the images in ascending order inside each
+/// chunk, so each element sees the reference sequence: per image one
+/// double chain ascending over out_area, rounded to float and added.
+/// db: column_sums over the chunk's transposed grad_out gives every
+/// (image, channel) double sum as its own SIMD lane; each is rounded
+/// and added to db in image order.
+void ConvParamGrad(const float* grad_out, const float* x, const ConvGeom& g,
+                   const internal::BlockedKernels& table, float* dw,
+                   float* db) {
   const ConvKernelShape& s = g.s;
   const int64_t ocp = RoundUp(s.out_channels, 4);
   const int64_t vectors = ocp / 4;
@@ -586,99 +549,141 @@ void ConvWeightGrad(const float* grad_out, const float* x, const ConvGeom& g,
   const int64_t oc_tiles = (vectors + 1) / 2;
   const int64_t chain_rows = s.in_channels * s.kernel;
   const int64_t row_tiles = (chain_rows + rows_per_tile - 1) / rows_per_tile;
+  const int64_t god_image = g.area * ocp;
   ScratchArena& arena = ScratchArena::ThreadLocal();
-  float* dwt = arena.Buffer(kSlotConvCols, static_cast<size_t>(g.patch * ocp));
+  // The chunk's transposed grad_out, then its db sums.
   double* god = arena.Typed<double>(
-      kSlotConvGrad, static_cast<size_t>(kConvChunkImages * g.area * ocp));
-  for (int64_t p = 0; p < g.patch; ++p) {
-    for (int64_t oc = 0; oc < ocp; ++oc) {
-      dwt[p * ocp + oc] = oc < s.out_channels ? dw[oc * g.patch + p] : 0.0f;
-    }
+      kSlotConvGrad, static_cast<size_t>(kConvChunkImages * (god_image + ocp)));
+  double* sums = god + kConvChunkImages * god_image;
+  float* dwt = nullptr;
+  double* xpd = nullptr;
+  if (dw != nullptr) {
+    dwt = arena.Buffer(kSlotConvCols, static_cast<size_t>(g.patch * ocp));
+    std::fill(dwt, dwt + g.patch * ocp, 0.0f);
+    const int64_t xpd_size =
+        std::min(s.batch, kConvChunkImages) * g.padded_size;
+    xpd = arena.Typed<double>(kSlotConvImage, static_cast<size_t>(xpd_size));
+    std::fill(xpd, xpd + xpd_size, 0.0);
   }
+  if (db != nullptr) std::fill(db, db + s.out_channels, 0.0f);
   for (int64_t ci = 0; ci < g.chunks; ++ci) {
     const int64_t i0 = ci * kConvChunkImages, nb = g.ChunkImages(ci);
-    double* xpd = arena.Typed<double>(
-        kSlotConvImage, static_cast<size_t>(nb * g.padded_size));
     const int64_t flops = 2 * nb * s.out_channels * g.patch * g.area;
     ConvParallelFor(nb, flops, [&](int64_t img) {
-      PadImage(x + (i0 + img) * g.in_size, g, xpd + img * g.padded_size);
-      const float* go = grad_out + (i0 + img) * s.out_channels * g.area;
-      double* gi = god + img * g.area * ocp;
-      if (ocp != s.out_channels) std::fill(gi, gi + g.area * ocp, 0.0);
-      for (int64_t oc = 0; oc < s.out_channels; ++oc) {
-        const float* plane = go + oc * g.area;
-        for (int64_t a = 0; a < g.area; ++a) gi[a * ocp + oc] = plane[a];
-      }
-    });
-    ConvParallelFor(oc_tiles * row_tiles, flops, [&](int64_t task) {
-      internal::ConvDwTile tile{};
-      tile.ocp = ocp;
-      tile.kernel = s.kernel;
-      tile.stride = s.stride;
-      tile.hp = g.hp;
-      tile.wp = g.wp;
-      tile.ho = g.ho;
-      tile.wo = g.wo;
-      tile.oc0 = (task / row_tiles) * 8;
-      tile.nv = std::min<int64_t>(2, vectors - tile.oc0 / 4);
-      tile.row0 = (task % row_tiles) * rows_per_tile;
-      tile.rows = std::min(rows_per_tile, chain_rows - tile.row0);
-      tile.dwt = dwt;
-      for (int64_t img = 0; img < nb; ++img) {
-        tile.xpd = xpd + img * g.padded_size;
-        tile.god = god + img * g.area * ocp;
-        for (tile.kx0 = 0; tile.kx0 < s.kernel; tile.kx0 += nx) {
-          tile.nx = std::min(nx, s.kernel - tile.kx0);
-          table.conv_dw(tile);
+      if (dw != nullptr) {
+        double* xi = xpd + img * g.padded_size;
+        for (int64_t c = 0; c < s.in_channels; ++c) {
+          table.widen(x + (i0 + img) * g.in_size + c * s.height * s.width,
+                      s.height, s.width, g.wp,
+                      xi + (c * g.hp + s.pad) * g.wp + s.pad);
         }
       }
+      table.widen_transpose(grad_out + (i0 + img) * s.out_channels * g.area,
+                            s.out_channels, g.area, god + img * god_image);
     });
+    if (dw != nullptr) {
+      ConvParallelFor(oc_tiles * row_tiles, flops, [&](int64_t task) {
+        internal::ConvDwTile tile{};
+        tile.ocp = ocp;
+        tile.kernel = s.kernel;
+        tile.stride = s.stride;
+        tile.hp = g.hp;
+        tile.wp = g.wp;
+        tile.ho = g.ho;
+        tile.wo = g.wo;
+        tile.oc0 = (task / row_tiles) * 8;
+        tile.nv = std::min<int64_t>(2, vectors - tile.oc0 / 4);
+        tile.row0 = (task % row_tiles) * rows_per_tile;
+        tile.rows = std::min(rows_per_tile, chain_rows - tile.row0);
+        tile.dwt = dwt;
+        for (int64_t img = 0; img < nb; ++img) {
+          tile.xpd = xpd + img * g.padded_size;
+          tile.god = god + img * god_image;
+          for (tile.kx0 = 0; tile.kx0 < s.kernel; tile.kx0 += nx) {
+            tile.nx = std::min(nx, s.kernel - tile.kx0);
+            table.conv_dw(tile);
+          }
+        }
+      });
+    }
+    if (db != nullptr) {
+      table.column_sums(god, nb, g.area, ocp, sums);
+      for (int64_t img = 0; img < nb; ++img) {
+        for (int64_t oc = 0; oc < s.out_channels; ++oc) {
+          db[oc] += static_cast<float>(sums[img * ocp + oc]);
+        }
+      }
+    }
   }
-  for (int64_t oc = 0; oc < s.out_channels; ++oc) {
-    for (int64_t p = 0; p < g.patch; ++p) {
-      dw[oc * g.patch + p] = dwt[p * ocp + oc];
+  if (dw != nullptr) {
+    for (int64_t oc = 0; oc < s.out_channels; ++oc) {
+      for (int64_t p = 0; p < g.patch; ++p) {
+        dw[oc * g.patch + p] = dwt[p * ocp + oc];
+      }
     }
   }
 }
 
-/// dx of the whole batch, chunk-parallel: per chunk one conv GEMM
-/// dcols[p, img*area + a] = ascending-oc fused chain of w[oc, p] *
-/// go[img, oc, a] (the reference's dcols), then col2im per image.
-void ConvInputGrad(const float* grad_out, const float* w, const ConvGeom& g,
-                   const internal::BlockedKernels& table, float* dx) {
+/// dx of the whole batch at stride 1, overwritten, chunk-parallel: per
+/// image grad_out is copied into the interior of a zero-bordered buffer
+/// and conv_dx runs the transposed convolution over it (ConvDxImage).
+/// The border, k-1-pad wide (none when pad >= k-1), makes every tap of
+/// a real dx element read inside its plane: an out-of-range tap reads
+/// +0 terms, so its chain is +0, and adding +0 to a sum that started
+/// at +0 (never -0) changes no bit — the sum equals Col2Im's over the
+/// in-range taps alone.
+void TransposedConvDx(const float* grad_out, const float* w,
+                      const ConvGeom& g, const internal::BlockedKernels& table,
+                      float* dx) {
   const ConvKernelShape& s = g.s;
-  const int64_t groups = (g.patch + 3) / 4;
-  // Row stride of the chunk GEMM's operands: a full chunk's columns
-  // rounded up to the 8-column vector (pad columns are discarded).
-  const int64_t ldb = RoundUp(kConvChunkImages * g.area, 8);
-  const float* wt = PackConvWeights(w, g.patch, s.out_channels, 1, g.patch);
-  int64_t* offsets = ScratchArena::ThreadLocal().Typed<int64_t>(
-      kSlotConvOffsets, static_cast<size_t>(s.out_channels));
-  for (int64_t oc = 0; oc < s.out_channels; ++oc) offsets[oc] = oc * ldb;
-  const int64_t flops = 2 * s.batch * s.out_channels * g.patch * g.area;
-  ConvParallelFor(g.chunks, flops, [&](int64_t ci) {
-    const int64_t i0 = ci * kConvChunkImages, nb = g.ChunkImages(ci);
-    const int64_t n = nb * g.area;
-    ScratchArena& arena = ScratchArena::ThreadLocal();
-    float* got = arena.Buffer(kSlotConvOut,
-                              static_cast<size_t>(s.out_channels * ldb));
-    for (int64_t oc = 0; oc < s.out_channels; ++oc) {
-      float* row = got + oc * ldb;
-      for (int64_t img = 0; img < nb; ++img) {
-        std::memcpy(row + img * g.area,
-                    grad_out + ((i0 + img) * s.out_channels + oc) * g.area,
-                    sizeof(float) * static_cast<size_t>(g.area));
+  const int64_t k = s.kernel, taps = k * k, cout = s.out_channels;
+  const int64_t border = std::max<int64_t>(0, k - 1 - s.pad);
+  // gop row (col) of dx row (col) 0 at tap ky (kx) = 0.
+  const int64_t origin = s.pad + border;
+  const int64_t pitch = g.wo + 2 * border;
+  const int64_t plane = (g.ho + 2 * border) * pitch;
+  // The furthest a 4x3x8 tile reads: the last plane, tap (0, 0), dx
+  // rows and lanes rounded up to the tile.
+  const int64_t gop_size = std::max(
+      cout * plane, (cout - 1) * plane +
+                        (origin + RoundUp(s.height, 3) - 1) * pitch + origin +
+                        RoundUp(s.width, 8));
+  const int64_t cblocks = (s.in_channels + 3) / 4;
+  ScratchArena& arena = ScratchArena::ThreadLocal();
+  float* wpk = arena.Buffer(kSlotConvWeights,
+                            static_cast<size_t>(cblocks * taps * cout * 4));
+  for (int64_t cb = 0; cb < cblocks; ++cb) {
+    for (int64_t t = 0; t < taps; ++t) {
+      for (int64_t oc = 0; oc < cout; ++oc) {
+        for (int64_t c4 = 0; c4 < 4; ++c4) {
+          const int64_t c = cb * 4 + c4;
+          wpk[((cb * taps + t) * cout + oc) * 4 + c4] =
+              c < s.in_channels ? w[oc * g.patch + c * taps + t] : 0.0f;
+        }
       }
-      std::fill(row + n, row + ldb, 0.0f);
     }
-    float* dcols =
-        arena.Buffer(kSlotConvCols, static_cast<size_t>(groups * 4 * ldb));
-    // dcols starts from +0, as the reference's pre-zeroed dcols. A short
-    // last chunk still runs the full width: its extra columns read zeros
-    // and are never scattered.
-    table.conv_gemm(wt, got, offsets, groups, s.out_channels, ldb, dcols);
-    for (int64_t img = 0; img < nb; ++img) {
-      Col2ImRows(dcols + img * g.area, ldb, g, dx + (i0 + img) * g.in_size);
+  }
+  int64_t* offs =
+      arena.Typed<int64_t>(kSlotConvOffsets, static_cast<size_t>(taps));
+  for (int64_t t = 0; t < taps; ++t) {
+    offs[t] = (origin - t / k) * pitch + origin - t % k;
+  }
+  const int64_t flops = 2 * s.batch * cout * g.patch * g.area;
+  ConvParallelFor(g.chunks, flops, [&](int64_t ci) {
+    float* gop = ScratchArena::ThreadLocal().Buffer(
+        kSlotConvOut, static_cast<size_t>(gop_size));
+    std::fill(gop, gop + gop_size, 0.0f);
+    internal::ConvDxImage im{wpk, gop, offs, s.in_channels, s.height,
+                             s.width, cout, taps, plane, pitch, nullptr};
+    const int64_t i0 = ci * kConvChunkImages;
+    for (int64_t i = i0; i < i0 + g.ChunkImages(ci); ++i) {
+      const float* go = grad_out + i * cout * g.area;
+      for (int64_t oc = 0; oc < cout; ++oc) {
+        table.copy_rows(go + oc * g.area, g.ho, g.wo, pitch,
+                        gop + oc * plane + border * pitch + border);
+      }
+      im.dx = dx + i * g.in_size;
+      table.conv_dx(im);
     }
   });
 }
@@ -697,12 +702,18 @@ void Conv2dForwardKernel(const float* x, const float* w, const float* bias,
   const int64_t groups = (s.out_channels + 3) / 4;
   // Stride 1 needs no im2col: B row p = (c, ky, kx) is the padded image
   // itself shifted by (ky, kx), so output (oy, ox) is column oy*wp + ox
-  // (pitch wp; columns with ox >= wo are computed and discarded). Other
+  // of it. The GEMM's 8-column vectors either run along that row-major
+  // view (output pitch wp: columns with ox >= wo are computed and
+  // dropped) or, when fewer lanes get computed that way (wo <= 8), are
+  // one output row each (vector stride wp, output pitch 8). Other
   // strides gather an im2col matrix (pitch wo).
   const bool direct = s.stride == 1;
-  const int64_t pitch = direct ? g.wp : g.wo;
+  const bool row_tiles =
+      direct && g.wo <= 8 && 8 * g.ho < RoundUp(g.ho * g.wp, 8);
+  const int64_t pitch = row_tiles ? 8 : direct ? g.wp : g.wo;
+  const int64_t vstride = row_tiles ? g.wp : 8;
   const int64_t ldc = RoundUp(g.ho * pitch, 8);
-  const float* wpack = PackConvWeights(w, s.out_channels, g.patch, g.patch, 1);
+  const float* wpack = PackConvWeights(w, s.out_channels, g.patch);
   int64_t* offsets = ScratchArena::ThreadLocal().Typed<int64_t>(
       kSlotConvOffsets, static_cast<size_t>(g.patch));
   for (int64_t p = 0; p < g.patch; ++p) {
@@ -710,7 +721,7 @@ void Conv2dForwardKernel(const float* x, const float* w, const float* bias,
     offsets[p] =
         direct ? (c * g.hp + kk / s.kernel) * g.wp + kk % s.kernel : p * ldc;
   }
-  // The direct GEMM's last 8 columns read up to kernel + 6 floats past
+  // The direct GEMM's last vector reads up to kernel + 6 floats past
   // the padded image: zeroed slack.
   const int64_t slack = s.kernel + 8;
   const int64_t flops = 2 * s.batch * s.out_channels * g.patch * g.area;
@@ -718,7 +729,7 @@ void Conv2dForwardKernel(const float* x, const float* w, const float* bias,
     ScratchArena& arena = ScratchArena::ThreadLocal();
     float* xp = arena.Buffer(kSlotConvImage,
                              static_cast<size_t>(g.padded_size + slack));
-    std::fill(xp + g.padded_size, xp + g.padded_size + slack, 0.0f);
+    std::fill(xp, xp + g.padded_size + slack, 0.0f);
     float* b = direct ? xp
                       : arena.Buffer(kSlotConvCols,
                                      static_cast<size_t>(g.patch * ldc));
@@ -726,11 +737,11 @@ void Conv2dForwardKernel(const float* x, const float* w, const float* bias,
         arena.Buffer(kSlotConvOut, static_cast<size_t>(groups * 4 * ldc));
     const int64_t i0 = ci * kConvChunkImages;
     for (int64_t i = i0; i < i0 + g.ChunkImages(ci); ++i) {
-      PadImage(x + i * g.in_size, g, xp);
+      CopyInterior(x + i * g.in_size, g, table, xp);
       if (!direct) GatherCols(xp, g, ldc, b);
       // Each chain starts from +0, the pre-zeroed output the reference's
       // GemmAdd accumulates into; the bias is added after.
-      table.conv_gemm(wpack, b, offsets, groups, g.patch, ldc, acc);
+      table.conv_gemm(wpack, b, offsets, groups, g.patch, ldc, vstride, acc);
       float* out_i = out + i * s.out_channels * g.area;
       for (int64_t oc = 0; oc < s.out_channels; ++oc) {
         const float bv = bias[oc];
@@ -755,21 +766,17 @@ void Conv2dBackwardKernel(const float* grad_out, const float* x,
   }
   const ConvGeom g(s);
   const internal::BlockedKernels& table = ActiveTable();
-  if (db != nullptr) {
-    // One task per channel, adding the per-image sums in image order.
-    ConvParallelFor(s.out_channels, s.batch * s.out_channels * g.area,
-                    [&](int64_t oc) {
-                      for (int64_t i = 0; i < s.batch; ++i) {
-                        const float* plane =
-                            grad_out + (i * s.out_channels + oc) * g.area;
-                        double acc = 0.0;
-                        for (int64_t a = 0; a < g.area; ++a) acc += plane[a];
-                        db[oc] += static_cast<float>(acc);
-                      }
-                    });
+  if (dw != nullptr || db != nullptr) {
+    ConvParamGrad(grad_out, x, g, table, dw, db);
   }
-  if (dw != nullptr) ConvWeightGrad(grad_out, x, g, table, dw);
-  if (dx != nullptr) ConvInputGrad(grad_out, w, g, table, dx);
+  if (dx == nullptr) return;
+  if (s.stride == 1) {
+    TransposedConvDx(grad_out, w, g, table, dx);
+  } else {
+    // No model runs a strided conv: its dx is the reference loop.
+    std::fill(dx, dx + s.batch * g.in_size, 0.0f);
+    ref::Conv2dBackwardKernel(grad_out, x, w, s, dx, nullptr, nullptr);
+  }
 }
 
 // ---- Elementwise ----

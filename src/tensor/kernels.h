@@ -213,30 +213,34 @@ struct ConvKernelShape {
   int64_t Patch() const { return in_channels * kernel * kernel; }
 };
 
-/// Images per chunk of the conv drivers: the forward and dx thread
-/// partition is over chunks, the dx GEMM runs once per chunk (4 images
-/// make its width 4*Ho*Wo a multiple of the 8-wide vector whenever
-/// Ho*Wo is even), and conv scratch is bounded by one chunk per thread
-/// whatever the batch (map_sync forwards 256 examples at once).
+/// Images per chunk of the conv drivers: the forward, dx and dw thread
+/// partitions are over chunks (dw: over the tiles of dw, per chunk),
+/// and conv scratch is bounded by one chunk per thread whatever the
+/// batch (map_sync forwards 256 examples at once).
 inline constexpr int64_t kConvChunkImages = 4;
 
 /// out[B, Cout, Ho, Wo] = conv(x[B, Cin, H, W], w[Cout, Cin*K*K]) + bias.
 /// Per image: a zero-padded copy, then one conv GEMM of the packed
 /// weights against it — at stride 1 read in place as rows shifted by
-/// (ky, kx), no im2col; other strides gather im2col columns first.
-/// Chunk-parallel. `out` must be pre-zeroed (it is overwritten).
-/// Bit-identical to ref::Conv2dForwardKernel.
+/// (ky, kx), no im2col, in 8-column vectors along the padded rows or,
+/// when Wo <= 8 makes that cheaper, one vector per output row; other
+/// strides gather im2col columns first. Chunk-parallel. `out` is
+/// overwritten (its prior contents are never read). Bit-identical to
+/// ref::Conv2dForwardKernel on a zeroed `out`.
 void Conv2dForwardKernel(const float* x, const float* w, const float* bias,
                          const ConvKernelShape& s, float* out);
 
 /// Gradients of Conv2dForwardKernel; any of dx/dw/db may be null to
-/// skip, non-null outputs must be pre-zeroed. dx: per chunk one conv
-/// GEMM of the transposed weights against grad_out (n = chunk * Ho*Wo),
-/// then col2im, chunk-parallel. dw: register-blocked double chains over
-/// a padded double copy of each image, parallel over (channel, patch)
-/// tiles that each walk the images in ascending order. db: parallel
-/// over channels, each adding its per-image sums in image order.
-/// Bit-identical to ref::Conv2dBackwardKernel.
+/// skip, non-null outputs are overwritten (their prior contents are
+/// never read). dx at stride 1: a direct transposed convolution of a
+/// zero-bordered copy of each image's grad_out, register tiles of 4
+/// channels x 3 rows x 8 columns, chunk-parallel; at other strides
+/// the reference loop. dw: register-blocked double chains over a
+/// padded double copy of each image, parallel over (channel, patch)
+/// tiles that each walk the images in ascending order. db: every
+/// (image, channel) double sum in its own SIMD lane, added to db in
+/// image order. Bit-identical to ref::Conv2dBackwardKernel on zeroed
+/// outputs.
 void Conv2dBackwardKernel(const float* grad_out, const float* x,
                           const float* w, const ConvKernelShape& s, float* dx,
                           float* dw, float* db);

@@ -122,7 +122,7 @@ struct Avx2Traits {
 
   template <int NT>
   static void ConvMicro(const float* ap, const float* b, const int64_t* offs,
-                        int64_t k, float* c, int64_t ldc) {
+                        int64_t k, int64_t vstride, float* c, int64_t ldc) {
     // 4 x 8*NT accumulators (12 at NT=3) + NT B vectors + 1 broadcast.
     // Fully unrolled constant loops let GCC keep the array in ymm
     // registers.
@@ -135,7 +135,9 @@ struct Avx2Traits {
     for (int64_t p = 0; p < k; ++p) {
       __m256 bv[NT];
 #pragma GCC unroll 3
-      for (int t = 0; t < NT; ++t) bv[t] = _mm256_loadu_ps(b + offs[p] + 8 * t);
+      for (int t = 0; t < NT; ++t) {
+        bv[t] = _mm256_loadu_ps(b + offs[p] + t * vstride);
+      }
 #pragma GCC unroll 4
       for (int r = 0; r < 4; ++r) {
         const __m256 a = _mm256_broadcast_ss(ap + p * 4 + r);
@@ -152,6 +154,59 @@ struct Avx2Traits {
         _mm256_storeu_ps(c + r * ldc + 8 * t, acc[r][t]);
       }
     }
+  }
+
+  static void DxTile(const float* wp, const float* go, const int64_t* offs,
+                     int64_t taps, int64_t cout, int64_t plane, int64_t pitch,
+                     float* sum) {
+    // 12 accumulators (3 rows x 4 channels) + 3 grad_out rows + 1
+    // broadcast weight per oc step; the running tap sums stay in `sum`
+    // (L1), one load-add-store per accumulator per tap.
+    for (int i = 0; i < 12; ++i) {
+      _mm256_storeu_ps(sum + 8 * i, _mm256_setzero_ps());
+    }
+    for (int64_t t = 0; t < taps; ++t) {
+      __m256 acc[3][4];
+#pragma GCC unroll 3
+      for (int r = 0; r < 3; ++r) {
+#pragma GCC unroll 4
+        for (int c = 0; c < 4; ++c) acc[r][c] = _mm256_setzero_ps();
+      }
+      const float* g = go + offs[t];
+      const float* w = wp + t * cout * 4;
+      for (int64_t oc = 0; oc < cout; ++oc, g += plane, w += 4) {
+        __m256 gv[3];
+#pragma GCC unroll 3
+        for (int r = 0; r < 3; ++r) gv[r] = _mm256_loadu_ps(g + r * pitch);
+#pragma GCC unroll 4
+        for (int c = 0; c < 4; ++c) {
+          const __m256 a = _mm256_broadcast_ss(w + c);
+#pragma GCC unroll 3
+          for (int r = 0; r < 3; ++r) {
+            acc[r][c] = _mm256_fmadd_ps(a, gv[r], acc[r][c]);
+          }
+        }
+      }
+#pragma GCC unroll 3
+      for (int r = 0; r < 3; ++r) {
+#pragma GCC unroll 4
+        for (int c = 0; c < 4; ++c) {
+          float* d = sum + (r * 4 + c) * 8;
+          _mm256_storeu_ps(d, _mm256_add_ps(_mm256_loadu_ps(d), acc[r][c]));
+        }
+      }
+    }
+  }
+
+  static void CopyLanes(const float* src, int64_t n, float* dst) {
+    if (n == 8) {
+      _mm256_storeu_ps(dst, _mm256_loadu_ps(src));
+      return;
+    }
+    const __m256i mask = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int>(n)),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    _mm256_maskstore_ps(dst, mask, _mm256_maskload_ps(src, mask));
   }
 
   template <int NV, int R, int NX>
@@ -207,6 +262,90 @@ struct Avx2Traits {
     }
   }
 };
+
+// ---- Conv dw/db operand passes ----
+// float -> double is exact (vcvtps2pd), and the column sums are plain
+// vaddpd chains, one per lane, so these equal the scalar loops.
+
+void Widen(const float* x, int64_t rows, int64_t cols, int64_t ldy,
+           double* y) {
+  for (int64_t i = 0; i < rows; ++i, x += cols, y += ldy) {
+    int64_t j = 0;
+    for (; j + 4 <= cols; j += 4) {
+      _mm256_storeu_pd(y + j, _mm256_cvtps_pd(_mm_loadu_ps(x + j)));
+    }
+    for (; j < cols; ++j) y[j] = x[j];
+  }
+}
+
+void WidenTranspose(const float* x, int64_t rows, int64_t cols, double* y) {
+  const int64_t ldy = (rows + 3) / 4 * 4;
+  for (int64_t i0 = 0; i0 < rows; i0 += 4) {
+    const int64_t n = std::min<int64_t>(4, rows - i0);
+    // Rows past `rows` load the last real row and are masked to +0.
+    const float* src[4];
+    for (int64_t q = 0; q < 4; ++q) {
+      src[q] = x + (i0 + std::min(q, n - 1)) * cols;
+    }
+    const __m128 keep = _mm_castsi128_ps(_mm_cmpgt_epi32(
+        _mm_set1_epi32(static_cast<int>(n)), _mm_setr_epi32(0, 1, 2, 3)));
+    int64_t j = 0;
+    for (; j + 4 <= cols; j += 4) {
+      // 4 rows x 4 columns: transpose, widen, one store per column.
+      __m128 r0 = _mm_loadu_ps(src[0] + j), r1 = _mm_loadu_ps(src[1] + j);
+      __m128 r2 = _mm_loadu_ps(src[2] + j), r3 = _mm_loadu_ps(src[3] + j);
+      _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
+      double* d = y + j * ldy + i0;
+      _mm256_storeu_pd(d, _mm256_cvtps_pd(_mm_and_ps(r0, keep)));
+      _mm256_storeu_pd(d + ldy, _mm256_cvtps_pd(_mm_and_ps(r1, keep)));
+      _mm256_storeu_pd(d + 2 * ldy, _mm256_cvtps_pd(_mm_and_ps(r2, keep)));
+      _mm256_storeu_pd(d + 3 * ldy, _mm256_cvtps_pd(_mm_and_ps(r3, keep)));
+    }
+    for (; j < cols; ++j) {
+      for (int64_t q = 0; q < 4; ++q) {
+        y[j * ldy + i0 + q] = q < n ? static_cast<double>(src[q][j]) : 0.0;
+      }
+    }
+  }
+}
+
+void ColumnSums(const double* x, int64_t mats, int64_t rows, int64_t cols,
+                double* out) {
+  // Lane l = m*cols + j; a vector never straddles two matrices (4 | cols).
+  // Four vectors per pass: four independent vaddpd chains.
+  const int64_t vectors = mats * cols / 4;
+  const auto column = [&](int64_t v) {
+    const int64_t l = 4 * v;
+    return x + l / cols * rows * cols + l % cols;
+  };
+  int64_t v = 0;
+  for (; v + 4 <= vectors; v += 4) {
+    const double* p0 = column(v);
+    const double* p1 = column(v + 1);
+    const double* p2 = column(v + 2);
+    const double* p3 = column(v + 3);
+    __m256d a0 = _mm256_setzero_pd(), a1 = _mm256_setzero_pd();
+    __m256d a2 = _mm256_setzero_pd(), a3 = _mm256_setzero_pd();
+    for (int64_t i = 0; i < rows; ++i) {
+      a0 = _mm256_add_pd(a0, _mm256_loadu_pd(p0 + i * cols));
+      a1 = _mm256_add_pd(a1, _mm256_loadu_pd(p1 + i * cols));
+      a2 = _mm256_add_pd(a2, _mm256_loadu_pd(p2 + i * cols));
+      a3 = _mm256_add_pd(a3, _mm256_loadu_pd(p3 + i * cols));
+    }
+    _mm256_storeu_pd(out + 4 * v, a0);
+    _mm256_storeu_pd(out + 4 * v + 4, a1);
+    _mm256_storeu_pd(out + 4 * v + 8, a2);
+    _mm256_storeu_pd(out + 4 * v + 12, a3);
+  }
+  for (; v < vectors; ++v) {
+    const double* p = column(v);
+    __m256d a = _mm256_setzero_pd();
+    for (int64_t i = 0; i < rows; ++i) {
+      a = _mm256_add_pd(a, _mm256_loadu_pd(p + i * cols));
+    }
+    _mm256_storeu_pd(out + 4 * v, a);
+  }
+}
 
 // ---- Elementwise ----
 // vmaxps(x, 0) returns its second operand unless x > 0, so NaN and -0
@@ -390,7 +529,12 @@ const BlockedKernels* Avx2KernelsOrNull() {
       &GemmAddBlockedT<Avx2Traits>,
       &GemmTransBBlockedT<Avx2Traits>,
       &ConvGemmT<Avx2Traits>,
+      &ConvDxT<Avx2Traits>,
       &ConvDwT<Avx2Traits>,
+      &CopyRowsT<Avx2Traits>,
+      &Widen,
+      &WidenTranspose,
+      &ColumnSums,
       &Relu,
       &ReluBackward,
       &MaxPoolForward,

@@ -18,13 +18,23 @@
 //   // fma chains identical — either implementation is canonical):
 //   static void DotChains(const float* a, const float* panel, int64_t n,
 //                         double* out);
-//   // Conv GEMM tile: C[4, 8*NT] = ap[k][4]^T * B[k, 8*NT] (row p of
-//   // B at b + offs[p], used in place), ascending p from +0, one fused
-//   // rounding per step; NT in {1, 3}:
+//   // Conv GEMM tile: C[4, 8*NT] = ap[k][4]^T * B[k, 8*NT], ascending
+//   // p from +0, one fused rounding per step; NT in {1, 3}. Column
+//   // vector t of row p of B is the 8 floats at b + offs[p] + t*vstride
+//   // (used in place):
 //   template <int NT>
 //   static void ConvMicro(const float* ap, const float* b,
-//                         const int64_t* offs, int64_t k, float* c,
-//                         int64_t ldc);
+//                         const int64_t* offs, int64_t k, int64_t vstride,
+//                         float* c, int64_t ldc);
+//   // Conv dx tile, 4 channels c x 3 rows r x 8 lanes l:
+//   // sum[(r*4 + c)*8 + l] = +0 + for t < taps ascending, (an
+//   // ascending-oc fused chain from +0 of wp[(t*cout + oc)*4 + c] *
+//   // go[oc*plane + offs[t] + r*pitch + l]), one float add per tap:
+//   static void DxTile(const float* wp, const float* go,
+//                      const int64_t* offs, int64_t taps, int64_t cout,
+//                      int64_t plane, int64_t pitch, float* sum);
+//   // Copies n <= 8 floats, touching no other element of src or dst:
+//   static void CopyLanes(const float* src, int64_t n, float* dst);
 //   // Conv dw chains: dst[r][x*ocp + l] += float(sum over a = (oy, ox)
 //   // ascending of god[a*ocp + l] * rows[r][oy*stride*wp +
 //   // ox*stride + x]), one double rounding per step (exact products),
@@ -250,21 +260,64 @@ void GemmTransBBlockedT(const float* a, const float* b, int64_t m, int64_t n,
 }
 
 /// The conv GEMM (BlockedKernels::conv_gemm): 4-row groups of the
-/// packed A against B read in place, 24-column register tiles with an
-/// 8-column tail. Each element is one ascending-p fused chain from +0;
+/// packed A against B read in place, 3-vector register tiles with a
+/// 1-vector tail. Each element is one ascending-p fused chain from +0;
 /// the tiles only choose which elements are in flight.
 template <typename Traits>
 void ConvGemmT(const float* apack, const float* b, const int64_t* row_offsets,
-               int64_t groups, int64_t k, int64_t n, float* c) {
+               int64_t groups, int64_t k, int64_t n, int64_t vstride,
+               float* c) {
   for (int64_t g = 0; g < groups; ++g) {
     const float* ap = apack + g * k * 4;
     float* cg = c + g * 4 * n;
     int64_t j = 0;
     for (; j + 24 <= n; j += 24) {
-      Traits::template ConvMicro<3>(ap, b + j, row_offsets, k, cg + j, n);
+      Traits::template ConvMicro<3>(ap, b + j / 8 * vstride, row_offsets, k,
+                                    vstride, cg + j, n);
     }
     for (; j < n; j += 8) {
-      Traits::template ConvMicro<1>(ap, b + j, row_offsets, k, cg + j, n);
+      Traits::template ConvMicro<1>(ap, b + j / 8 * vstride, row_offsets, k,
+                                    vstride, cg + j, n);
+    }
+  }
+}
+
+/// BlockedKernels::copy_rows, one vector of lanes at a time (the rows
+/// the conv drivers copy are 6 to 12 floats: a memcpy call per row
+/// costs more than the copy).
+template <typename Traits>
+void CopyRowsT(const float* x, int64_t rows, int64_t cols, int64_t ldy,
+               float* y) {
+  for (int64_t i = 0; i < rows; ++i, x += cols, y += ldy) {
+    for (int64_t j = 0; j < cols; j += 8) {
+      Traits::CopyLanes(x + j, std::min<int64_t>(8, cols - j), y + j);
+    }
+  }
+}
+
+/// BlockedKernels::conv_dx: 4-channel x 3-row x 8-lane tiles over dx.
+/// Lanes, rows and channels of a tile past dx are computed from the
+/// packed weights' zero channels and the grad_out buffer's slack, and
+/// never stored.
+template <typename Traits>
+void ConvDxT(const ConvDxImage& im) {
+  float sum[96] = {};
+  const int64_t block = im.taps * im.cout * 4;
+  for (int64_t c0 = 0; c0 < im.cin; c0 += 4) {
+    const int64_t nc = std::min<int64_t>(4, im.cin - c0);
+    for (int64_t y0 = 0; y0 < im.h; y0 += 3) {
+      const int64_t ny = std::min<int64_t>(3, im.h - y0);
+      for (int64_t x0 = 0; x0 < im.w; x0 += 8) {
+        const int64_t nx = std::min<int64_t>(8, im.w - x0);
+        Traits::DxTile(im.wpk + c0 / 4 * block, im.gop + y0 * im.pitch + x0,
+                       im.offs, im.taps, im.cout, im.plane, im.pitch, sum);
+        for (int64_t c = 0; c < nc; ++c) {
+          float* row = im.dx + ((c0 + c) * im.h + y0) * im.w + x0;
+          for (int64_t r = 0; r < ny; ++r) {
+            Traits::CopyLanes(sum + (r * 4 + c) * 8, nx, row + r * im.w);
+          }
+        }
+      }
     }
   }
 }

@@ -22,13 +22,16 @@ namespace internal {
 //   2  transposed A of GemmTransAAdd
 //   3  conv: zero-padded image (float, fwd) / padded double images of
 //      a chunk (dw, caller thread)
-//   4  conv: im2col columns (fwd, stride > 1) / column gradients of a
-//      chunk (dx) / dw transposed, [patch][ocp] (dw, caller thread)
-//   5  conv: output staging (fwd) / chunk-transposed grad_out (dx)
+//   4  conv: im2col columns (fwd, stride > 1) / dw transposed,
+//      [patch][ocp] (dw, caller thread)
+//   5  conv: output staging (fwd) / zero-bordered grad_out of an image
+//      (dx)
 //   6  interleaved B panels of GemmTransBAssign
 //   8  packed conv weights (caller thread, read by every chunk)
-//   9  grad_out of a conv chunk widened to double, [area][ocp] (dw)
-//  10  B-row offsets of the conv GEMM (caller thread)
+//   9  grad_out of a conv chunk widened to double, [area][ocp] per
+//      image, then the chunk's db sums (dw, db)
+//  10  B-row offsets of the conv GEMM / tap offsets of dx (caller
+//      thread)
 // (Slot 7 is left to callers outside the kernel layer.)
 inline constexpr int kSlotPackB = 0;
 inline constexpr int kSlotPackA = 1;
@@ -56,6 +59,22 @@ struct ConvDwTile {
   float* dwt;         ///< dw transposed, [cin*kernel*kernel][ocp]
 };
 
+/// dx of one image at stride 1, a transposed convolution (see ConvDxT
+/// in kernels_blocked.h): dx[c, iy, ix] = +0 plus, for taps t = (ky,
+/// kx) ascending, an ascending-oc fused chain from +0 of
+/// w[oc, (c, ky, kx)] * gop[oc*plane + offs[t] + iy*pitch + ix].
+/// gop holds grad_out with a zero border wide enough that every tap
+/// of a real dx element reads inside its plane; it has slack past
+/// the last plane for the lanes, rows and channels of the 4 x 3 x 8
+/// register tiles that fall outside dx (computed, never stored).
+struct ConvDxImage {
+  const float* wpk;     ///< w as [ceil(cin/4)][taps][cout][4], 0 past cin
+  const float* gop;     ///< bordered grad_out, [cout][plane] at `pitch`
+  const int64_t* offs;  ///< per tap: gop offset of dx element (0, 0)
+  int64_t cin, h, w, cout, taps, plane, pitch;
+  float* dx;            ///< [cin, h, w], overwritten
+};
+
 /// One ISA's blocked-kernel entry points. Every implementation computes
 /// the canonical fused summation order (kernels.h), so all tables are
 /// bit-interchangeable; only throughput differs.
@@ -77,19 +96,45 @@ struct BlockedKernels {
                       bool parallel);
 
   /// The conv GEMM, B read in place (no packing):
-  /// C[4g + r, j] = sum_p apack[g][p][r] * b[row_offsets[p] + j] for
-  /// g < groups, r < 4, j < n: an ascending-p chain from +0, one fused
-  /// rounding per step (C is assigned, never read).
-  /// n must be a multiple of 8 (C has row stride n); apack is
-  /// [groups][k][4]. Row offsets let B be an im2col matrix or rows of a
-  /// padded image shifted by (ky, kx).
+  /// C[4g + r, 8v + l] = sum_p apack[g][p][r] *
+  /// b[row_offsets[p] + v*vstride + l] for g < groups, r < 4, v < n/8,
+  /// l < 8: an ascending-p chain from +0, one fused rounding per step
+  /// (C is assigned, never read). n must be a multiple of 8 (C has row
+  /// stride n); apack is [groups][k][4]. Row offsets let B be an
+  /// im2col matrix or rows of a padded image shifted by (ky, kx); the
+  /// vector stride lets a B column vector be 8 contiguous columns
+  /// (vstride 8) or one output row of a padded image (vstride = its
+  /// pitch).
   void (*conv_gemm)(const float* apack, const float* b,
                     const int64_t* row_offsets, int64_t groups, int64_t k,
-                    int64_t n, float* c);
+                    int64_t n, int64_t vstride, float* c);
+
+  /// dx of one image at stride 1 (ConvDxImage).
+  void (*conv_dx)(const ConvDxImage& image);
 
   /// One ConvDwTile; tiles satisfy nv <= 2, rows <= 2, nx <= 6 and
   /// nv * rows * nx <= 12 (the register budget of the AVX2 tile).
   void (*conv_dw)(const ConvDwTile& tile);
+
+  /// Row copies into a wider pitch (a padded image's interior, a
+  /// bordered grad_out): y[i*ldy + j] = x[i*cols + j] for i < rows,
+  /// j < cols; nothing else of y is written.
+  void (*copy_rows)(const float* x, int64_t rows, int64_t cols, int64_t ldy,
+                    float* y);
+
+  /// The conv dw/db operand passes (exact widenings and double sums).
+  /// widen: copy_rows into doubles.
+  /// widen_transpose: y[j*ldy + i] = x[i*cols + j] for j < cols and
+  /// i < ldy = rows rounded up to 4, +0 for i >= rows.
+  /// column_sums: out[m*cols + j] = +0 + x[(m*rows + i)*cols + j] added
+  /// over i < rows ascending, for m < mats, j < cols; 4 must divide
+  /// cols.
+  void (*widen)(const float* x, int64_t rows, int64_t cols, int64_t ldy,
+                double* y);
+  void (*widen_transpose)(const float* x, int64_t rows, int64_t cols,
+                          double* y);
+  void (*column_sums)(const double* x, int64_t mats, int64_t rows,
+                      int64_t cols, double* out);
 
   /// The elementwise passes behind ReluKernel, ReluBackwardKernel,
   /// MaxPool2x2ForwardKernel, MaxPool2x2BackwardKernel and

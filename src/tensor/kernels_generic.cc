@@ -61,16 +61,43 @@ struct GenericTraits {
 
   template <int NT>
   static void ConvMicro(const float* ap, const float* b, const int64_t* offs,
-                        int64_t k, float* c, int64_t ldc) {
+                        int64_t k, int64_t vstride, float* c, int64_t ldc) {
     for (int64_t r = 0; r < 4; ++r) {
-      for (int64_t j = 0; j < 8 * NT; ++j) {
-        float acc = 0.0f;
-        for (int64_t p = 0; p < k; ++p) {
-          acc = std::fmaf(ap[p * 4 + r], b[offs[p] + j], acc);
+      for (int64_t t = 0; t < NT; ++t) {
+        for (int64_t l = 0; l < 8; ++l) {
+          float acc = 0.0f;
+          for (int64_t p = 0; p < k; ++p) {
+            acc = std::fmaf(ap[p * 4 + r], b[offs[p] + t * vstride + l], acc);
+          }
+          c[r * ldc + 8 * t + l] = acc;
         }
-        c[r * ldc + j] = acc;
       }
     }
+  }
+
+  static void DxTile(const float* wp, const float* go, const int64_t* offs,
+                     int64_t taps, int64_t cout, int64_t plane, int64_t pitch,
+                     float* sum) {
+    for (int64_t i = 0; i < 96; ++i) sum[i] = 0.0f;
+    for (int64_t t = 0; t < taps; ++t) {
+      const float* w = wp + t * cout * 4;
+      for (int64_t r = 0; r < 3; ++r) {
+        for (int64_t c = 0; c < 4; ++c) {
+          for (int64_t l = 0; l < 8; ++l) {
+            const float* g = go + offs[t] + r * pitch + l;
+            float acc = 0.0f;
+            for (int64_t oc = 0; oc < cout; ++oc) {
+              acc = std::fmaf(w[oc * 4 + c], g[oc * plane], acc);
+            }
+            sum[(r * 4 + c) * 8 + l] += acc;
+          }
+        }
+      }
+    }
+  }
+
+  static void CopyLanes(const float* src, int64_t n, float* dst) {
+    std::memcpy(dst, src, sizeof(float) * static_cast<size_t>(n));
   }
 
   template <int NV, int R, int NX>
@@ -94,6 +121,35 @@ struct GenericTraits {
     }
   }
 };
+
+// ---- Conv dw/db operand passes ----
+
+void Widen(const float* x, int64_t rows, int64_t cols, int64_t ldy,
+           double* y) {
+  for (int64_t i = 0; i < rows; ++i) {
+    for (int64_t j = 0; j < cols; ++j) y[i * ldy + j] = x[i * cols + j];
+  }
+}
+
+void WidenTranspose(const float* x, int64_t rows, int64_t cols, double* y) {
+  const int64_t ldy = (rows + 3) / 4 * 4;
+  for (int64_t j = 0; j < cols; ++j) {
+    for (int64_t i = 0; i < ldy; ++i) {
+      y[j * ldy + i] = i < rows ? static_cast<double>(x[i * cols + j]) : 0.0;
+    }
+  }
+}
+
+void ColumnSums(const double* x, int64_t mats, int64_t rows, int64_t cols,
+                double* out) {
+  for (int64_t m = 0; m < mats; ++m) {
+    for (int64_t j = 0; j < cols; ++j) {
+      double acc = 0.0;
+      for (int64_t i = 0; i < rows; ++i) acc += x[(m * rows + i) * cols + j];
+      out[m * cols + j] = acc;
+    }
+  }
+}
 
 // Elementwise passes as bit masks from the reference's own comparisons:
 // the reference's data-dependent branches mispredict on sign-random
@@ -193,7 +249,12 @@ const BlockedKernels& GenericKernels() {
       &GemmAddBlockedT<GenericTraits>,
       &GemmTransBBlockedT<GenericTraits>,
       &ConvGemmT<GenericTraits>,
+      &ConvDxT<GenericTraits>,
       &ConvDwT<GenericTraits>,
+      &CopyRowsT<GenericTraits>,
+      &Widen,
+      &WidenTranspose,
+      &ColumnSums,
       &Relu,
       &ReluBackward,
       &MaxPoolForward,

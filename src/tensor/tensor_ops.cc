@@ -64,15 +64,15 @@ Tensor AddScalar(const Tensor& a, float s) {
 }
 
 Tensor Relu(const Tensor& x) {
-  Tensor out = x;
-  ReluKernel(out.data(), out.size(), out.data());
+  Tensor out = Tensor::Uninitialized(x.shape());
+  ReluKernel(x.data(), x.size(), out.data());
   return out;
 }
 
 Tensor ReluBackward(const Tensor& grad, const Tensor& x) {
   CheckSameShape(grad, x);
-  Tensor out = grad;
-  ReluBackwardKernel(out.data(), x.data(), out.size(), out.data());
+  Tensor out = Tensor::Uninitialized(grad.shape());
+  ReluBackwardKernel(grad.data(), x.data(), grad.size(), out.data());
   return out;
 }
 
@@ -289,7 +289,8 @@ Tensor Conv2dForward(const Tensor& x, const Tensor& w, const Tensor& b,
   const int64_t ho = spec.OutDim(h), wo = spec.OutDim(wd);
   RFED_CHECK_GT(ho, 0);
   RFED_CHECK_GT(wo, 0);
-  Tensor out(Shape{batch, spec.out_channels, ho, wo});
+  // The kernel writes every element of out (kernels.h).
+  Tensor out = Tensor::Uninitialized(Shape{batch, spec.out_channels, ho, wo});
   Conv2dForwardKernel(x.data(), w.data(), b.data(),
                       ToKernelShape(spec, batch, h, wd), out.data());
   return out;
@@ -302,9 +303,10 @@ void Conv2dBackward(const Tensor& grad_out, const Tensor& x, const Tensor& w,
   const int64_t ho = spec.OutDim(h), wo = spec.OutDim(wd);
   RFED_CHECK(grad_out.shape() == Shape({batch, spec.out_channels, ho, wo}));
 
-  if (dx != nullptr) *dx = Tensor(x.shape());
-  if (dw != nullptr) *dw = Tensor(w.shape());
-  if (db != nullptr) *db = Tensor(Shape{spec.out_channels});
+  // The kernel overwrites every requested gradient (kernels.h).
+  if (dx != nullptr) *dx = Tensor::Uninitialized(x.shape());
+  if (dw != nullptr) *dw = Tensor::Uninitialized(w.shape());
+  if (db != nullptr) *db = Tensor::Uninitialized(Shape{spec.out_channels});
 
   Conv2dBackwardKernel(grad_out.data(), x.data(), w.data(),
                        ToKernelShape(spec, batch, h, wd),

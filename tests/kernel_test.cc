@@ -284,6 +284,8 @@ TEST_F(KernelTest, IsaDispatchReportsActiveTable) {
 
 // ---- Convolution ----
 
+constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+
 std::vector<ConvKernelShape> ConvCases() {
   std::vector<ConvKernelShape> cases;
   // batch, cin, h, w, cout, kernel, stride, pad
@@ -293,6 +295,18 @@ std::vector<ConvKernelShape> ConvCases() {
   cases.push_back({4, 2, 6, 6, 1, 1, 1, 0});   // pointwise 1x1
   cases.push_back({2, 1, 5, 5, 2, 3, 3, 1});   // stride > 1 with pad
   cases.push_back({2, 2, 9, 9, 9, 7, 1, 3});   // k > 6 splits kx, cout 9
+  // Shapes for the tiles: dx rows of 9, 12 and 17 lanes (ragged and
+  // multi-vector), input channels that are not a multiple of the dx
+  // channel block, heights that are not a multiple of its row block,
+  // forward outputs at wo <= 8 (row tiles, with a 1-row tail at ho = 7)
+  // and wo > 8, pad >= k (no grad_out border), and a strided fallback.
+  cases.push_back({2, 5, 9, 9, 3, 3, 1, 1});    // cin 5, w 9, wo 9
+  cases.push_back({2, 1, 10, 17, 4, 7, 1, 3});  // cin 1, k 7, w 17
+  cases.push_back({3, 3, 5, 12, 5, 3, 1, 3});   // pad 3 >= k 3, wo 16
+  cases.push_back({2, 5, 6, 3, 4, 3, 1, 3});    // pad >= k, wo 7
+  cases.push_back({2, 3, 9, 9, 2, 1, 1, 0});    // k 1, w 9
+  cases.push_back({2, 4, 7, 6, 8, 5, 1, 2});    // ho 7: row-tile tail
+  cases.push_back({2, 3, 11, 12, 6, 3, 2, 1});  // stride 2, cin 3
   // The workload CNN's two layers (experiment_cli: 12x12 inputs, 3->4->8
   // channels, 5x5 kernels, pad 2) at the local-step batch (24), the
   // evaluation batch (64), the map_sync batch (256), one image, and a
@@ -357,7 +371,8 @@ TEST_F(KernelTest, Conv2dForwardMatchesReferenceBitwise) {
           KernelOptions o = TinyBlocks(threads);
           o.isa = isa;
           SetKernelOptions(o);
-          std::vector<float> out_opt(out_ref.size(), 0.0f);
+          // The kernel overwrites out: NaN left anywhere fails the memcmp.
+          std::vector<float> out_opt(out_ref.size(), kNaN);
           Conv2dForwardKernel(in.x.data(), w.data(), bias.data(), s,
                               out_opt.data());
           ASSERT_EQ(0, std::memcmp(out_ref.data(), out_opt.data(),
@@ -392,10 +407,12 @@ TEST_F(KernelTest, Conv2dBackwardMatchesReferenceBitwise) {
           SetKernelOptions(o);
           // dx requested and skipped (the first conv layer's input needs
           // no gradient): dw/db must not depend on it.
+          // The kernel overwrites every requested output, so they start
+          // as NaN.
           for (bool with_dx : {true, false}) {
-            std::vector<float> dx_opt(dx_size, 0.0f);
-            std::vector<float> dw_opt(dw_size, 0.0f);
-            std::vector<float> db_opt(db_size, 0.0f);
+            std::vector<float> dx_opt(dx_size, kNaN);
+            std::vector<float> dw_opt(dw_size, kNaN);
+            std::vector<float> db_opt(db_size, kNaN);
             Conv2dBackwardKernel(go.data(), in.x.data(), w.data(), s,
                                  with_dx ? dx_opt.data() : nullptr,
                                  dw_opt.data(), db_opt.data());
@@ -464,7 +481,7 @@ TEST_F(KernelTest, Conv2dBackwardHandlesNullOutputs) {
   const auto w = Pattern(s.out_channels * s.Patch(), 0.5f, 1.0f);
   const auto go = Pattern(s.batch * s.out_channels * s.OutArea(), 0.4f, 2.0f);
   const size_t dw_size = static_cast<size_t>(s.out_channels * s.Patch());
-  std::vector<float> dw_ref(dw_size, 0.0f), dw_opt(dw_size, 0.0f);
+  std::vector<float> dw_ref(dw_size, 0.0f), dw_opt(dw_size, kNaN);
   // dx and db skipped entirely.
   ref::Conv2dBackwardKernel(go.data(), x.data(), w.data(), s, nullptr,
                             dw_ref.data(), nullptr);
@@ -472,6 +489,15 @@ TEST_F(KernelTest, Conv2dBackwardHandlesNullOutputs) {
                        dw_opt.data(), nullptr);
   EXPECT_EQ(0, std::memcmp(dw_ref.data(), dw_opt.data(),
                            dw_size * sizeof(float)));
+  // db alone.
+  const size_t db_size = static_cast<size_t>(s.out_channels);
+  std::vector<float> db_ref(db_size, 0.0f), db_opt(db_size, kNaN);
+  ref::Conv2dBackwardKernel(go.data(), x.data(), w.data(), s, nullptr,
+                            nullptr, db_ref.data());
+  Conv2dBackwardKernel(go.data(), x.data(), w.data(), s, nullptr, nullptr,
+                       db_opt.data());
+  EXPECT_EQ(0, std::memcmp(db_ref.data(), db_opt.data(),
+                           db_size * sizeof(float)));
   // All three null: must be a no-op, not a crash.
   Conv2dBackwardKernel(go.data(), x.data(), w.data(), s, nullptr, nullptr,
                        nullptr);
